@@ -11,7 +11,7 @@ ratio map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,8 +19,7 @@ import numpy as np
 from .generators import DOMAIN_EPS, RATIO_CAP, BregmanGenerator, bregman_term
 from .kernels import GRAM_JITTER, KernelSpec, as_points, gram
 from .losses import CompositeLoss, family_loss
-from .optim import OptimResult, bfgs
-from .quadrature import integrate
+from .optim import bfgs
 from .synth import PiecewisePairSpec, Rng, piecewise_beta
 
 CLAMP_BUDGET = 0.05
@@ -42,6 +41,8 @@ class SampleSet:
         xq = as_points(self.xs_q)
         if xp.shape[1] != xq.shape[1]:
             raise ValueError("P and Q samples have mismatched dimensions")
+        if len(xp) == 0 or len(xq) == 0:
+            raise ValueError("P and Q samples must each hold at least one point")
         object.__setattr__(self, "xs_p", xp)
         object.__setattr__(self, "xs_q", xq)
 
@@ -169,9 +170,15 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
 
 
 def _select_alpha(alphas: Sequence[float], risks: Sequence[float]) -> float:
-    """Smallest alpha among those attaining the minimal risk."""
-    best = min(risks)
-    return min(a for a, r in zip(alphas, risks) if r == best)
+    """Smallest alpha among those attaining the minimal finite risk.
+
+    Non-finite risks are excluded; FitError when none is finite.
+    """
+    finite = [(a, r) for a, r in zip(alphas, risks) if np.isfinite(r)]
+    if not finite:
+        raise FitError("every held-out risk is non-finite")
+    best = min(r for _, r in finite)
+    return min(a for a, r in finite if r == best)
 
 
 def _stratified_folds(n_p: int, n_q: int, n_folds: int, rng: Rng):
@@ -205,7 +212,8 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
     """K-fold selection of alpha by held-out unpenalized risk.
 
     Folds are stratified by class; ties go to the smaller alpha.
-    Returns (chosen alpha, [(alpha, mean held-out risk), ...]).
+    Alphas whose held-out risk is non-finite stay in the table but are
+    never chosen.  Returns (chosen alpha, [(alpha, mean held-out risk), ...]).
     """
     rng = rng or Rng(0)
     pooled = samples.pooled

@@ -4,6 +4,14 @@ The objective protocol is a callable x -> (value, gradient).  Line
 search is Armijo backtracking from unit step; non-finite trial values
 are rejected like insufficient-decrease steps, so objectives may return
 inf outside their effective domain.
+
+The dense n x n inverse Hessian H is read once and written once per
+iteration.  The product H g is carried across iterations: after a step,
+one matvec gives H g_new, H y is its difference from the carried H g,
+and the update corrects H g_new in O(n).  The BFGS update itself
+(Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 6.17) is
+applied as the symmetric rank-2 step H -= s w' + w s', row block by row
+block, with no n x n temporary.
 """
 from __future__ import annotations
 
@@ -23,6 +31,9 @@ CURVATURE_FLOOR = 1e-10
 # with this sigma plus a no-blowup bound of PLATEAU_SLACK relative to f
 WOLFE_SIGMA = 0.9
 PLATEAU_SLACK = 1e-12
+# the rank-2 inverse-Hessian update is applied this many rows at a time,
+# so each block's product stays in cache and no n x n temporary exists
+UPDATE_ROWS = 64
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -72,14 +83,20 @@ def _backtrack(obj: Objective, x: np.ndarray, f: float, p: np.ndarray,
     return None
 
 
+def _reset(hinv: np.ndarray) -> None:
+    """Overwrite hinv with the identity, in place."""
+    hinv.fill(0.0)
+    hinv.flat[::hinv.shape[0] + 1] = 1.0
+
+
 def bfgs(obj: Objective, x0, max_iter: int = 100,
          grad_tol: float = 1e-8) -> OptimResult:
     """Minimize obj from x0.
 
     Stops when the gradient infinity norm drops below grad_tol
     ("converged"), after max_iter accepted steps ("max_iter"), or when
-    backtracking cannot find a decrease even after restarting from a
-    fresh steepest-descent direction ("line_search_failed").  The
+    backtracking cannot find a decrease even after restarting along
+    -g / max(1, |g|_inf) ("line_search_failed").  The
     inverse-Hessian update is skipped whenever s'y <= 1e-10 |s||y|,
     keeping the approximation positive definite.
     """
@@ -95,6 +112,9 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
 
     n = x.size
     hinv = np.eye(n)
+    hg = g  # hinv @ g, carried across iterations
+    left = np.empty((n, 2))  # [s w], times right = [w; s] gives s w' + w s'
+    right = np.empty((2, n))
     iterations = 0
     status = "max_iter"
 
@@ -104,24 +124,27 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
             status = "converged"
             break
 
-        p = -hinv @ g
+        p = -hg
         dd = float(p @ g)
         restarted = False
         if dd >= 0.0:
             # stale curvature made p non-descent; restart from steepest descent
-            hinv = np.eye(n)
+            _reset(hinv)
+            hg = g
             p = -g
             dd = -float(g @ g)
             restarted = True
 
         trial = _backtrack(obj, x, f, p, dd)
-        if trial is None and not restarted:
-            # a badly scaled quasi-Newton direction can fail at every
-            # representable step even though descent is still possible;
-            # retry once along the raw gradient before giving up
-            hinv = np.eye(n)
-            p = -g
-            dd = -float(g @ g)
+        if trial is None and (not restarted or gnorm > 1.0):
+            # a badly scaled direction can fail at every representable
+            # step even though descent is still possible; retry once
+            # along the gradient, scaled so the unit step moves no
+            # coordinate by more than 1
+            _reset(hinv)
+            hg = g
+            p = -g / max(1.0, gnorm)
+            dd = float(p @ g)
             trial = _backtrack(obj, x, f, p, dd)
         if trial is None:
             status = "line_search_failed"
@@ -136,12 +159,21 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
+        hg_new = hinv @ g_new
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            # hinv -= rho (s hy' + hy s') - rho^2 (y'hy + s'y) s s', written
+            # as hinv -= s w' + w s' with hy = hinv @ y = hg_new - hg
             rho = 1.0 / sy
-            hy = hinv @ yv
-            hinv -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            hinv += rho * rho * (float(yv @ hy) + sy) * np.outer(s, s)
-        x, f, g = x_new, f_new, g_new
+            hy = hg_new - hg
+            w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
+            left[:, 0] = s
+            left[:, 1] = w
+            right[0] = w
+            right[1] = s
+            for i in range(0, n, UPDATE_ROWS):
+                hinv[i:i + UPDATE_ROWS] -= left[i:i + UPDATE_ROWS] @ right
+            hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
+        x, f, g, hg = x_new, f_new, g_new, hg_new
         iterations += 1
     else:
         # loop exhausted; check convergence one last time

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratioloss import (CandidateSet, KernelSpec, Rng, SampleSet,
+from ratioloss import (CLAMP_BUDGET, FAMILY_NAMES, CandidateSet, KernelSpec,
+                       Rng, SampleSet,
                        WeightedRegressionTask, aggregate_predictor, bfgs,
                        default_pair, empirical_risk, family_loss, fit,
                        grad_check, gram, iwa_aggregate, iwv_select,
@@ -255,3 +256,19 @@ def test_a12_cli_outputs_are_byte_deterministic(command, tmp_path):
     assert names, "command produced no output files"
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_a13_every_family_fits(family):
+    # every shipped family fits end to end from the zero start: converged,
+    # finite scores, clamped fraction within the fit-time budget
+    s = _piecewise_samples(0, 50)
+    kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
+    loss = family_loss(family, k=6.0 if family == "poly" else 0.0)
+    model = fit(s, loss, kernel, alpha=1e-2, max_iter=400)
+    assert model.status == "converged"
+    scores = model.scores(s.pooled)
+    assert np.all(np.isfinite(scores))
+    lo, hi = loss.score_bounds
+    assert float(np.mean((scores <= lo) | (scores >= hi))) <= CLAMP_BUDGET
+    assert np.ptp(predict_ratio(model, s.pooled)) > 0.0

@@ -12,6 +12,7 @@ from ratioloss import (FitError, KernelSpec, PiecewisePairSpec, RatioModel,
                        kulsif_fit_closed_form, median_heuristic,
                        population_fit_parametric, predict_ratio,
                        sample_piecewise, sup_error, piecewise_beta)
+from ratioloss.dre import _select_alpha
 
 
 def small_samples(n=12, m=12, seed=0):
@@ -27,6 +28,13 @@ def test_sample_set_pooling_and_labels():
     assert np.array_equal(s.labels, [1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         SampleSet(xs_p=np.zeros((2, 1)), xs_q=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("xs_p,xs_q", [(np.zeros(0), np.array([1.0])),
+                                       (np.array([1.0]), np.zeros((0, 1)))])
+def test_sample_set_rejects_an_empty_class(xs_p, xs_q):
+    with pytest.raises(ValueError, match="at least one point"):
+        SampleSet(xs_p=xs_p, xs_q=xs_q)
 
 
 def test_empirical_risk_at_zero_coefficients():
@@ -119,6 +127,19 @@ def test_cross_validation_selects_from_the_table():
     assert all(np.isfinite(r) for _, r in table)
     best = min(r for _, r in table)
     assert chosen == min(a for a, r in table if r == best)
+
+
+def test_select_alpha_skips_non_finite_risks():
+    # a non-finite risk is never chosen, wherever it sits in the table
+    alphas = (10.0, 0.1, 1e-3)
+    assert _select_alpha(alphas, (np.nan, 0.5, 0.7)) == 0.1
+    assert _select_alpha(alphas, (0.5, np.nan, 0.2)) == 1e-3
+    assert _select_alpha(alphas, (np.inf, 0.4, 0.4)) == 1e-3
+
+
+def test_select_alpha_fails_when_no_risk_is_finite():
+    with pytest.raises(FitError, match="non-finite"):
+        _select_alpha((10.0, 0.1), (np.nan, np.inf))
 
 
 def test_cross_validation_needs_enough_points_per_class():

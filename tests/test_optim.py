@@ -2,7 +2,10 @@
 import numpy as np
 import pytest
 
-from ratioloss import bfgs, grad_check
+from ratioloss import (KernelSpec, Rng, SampleSet, bfgs, default_pair,
+                       empirical_risk, family_loss, grad_check, gram,
+                       median_heuristic, optim, sample_piecewise)
+from ratioloss.optim import CURVATURE_FLOOR, OptimResult, _backtrack
 
 
 def spd_objective(a, b):
@@ -22,13 +25,15 @@ def test_spd_quadratic_matches_direct_solve(n):
     assert np.max(np.abs(res.x_star - np.linalg.solve(a, b))) < 1e-8
 
 
+def _rosenbrock(x):
+    v = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                  200.0 * (x[1] - x[0] ** 2)])
+    return v, g
+
+
 def test_rosenbrock():
-    def obj(x):
-        v = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
-        g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
-                      200.0 * (x[1] - x[0] ** 2)])
-        return v, g
-    res = bfgs(obj, np.array([-1.2, 1.0]), max_iter=500, grad_tol=1e-10)
+    res = bfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iter=500, grad_tol=1e-10)
     assert res.status == "converged"
     assert np.max(np.abs(res.x_star - 1.0)) < 1e-6
 
@@ -80,3 +85,158 @@ def test_grad_check_flags_doubled_gradient():
         return float(x @ x), 4.0 * x  # true gradient is 2x
     err = grad_check(obj, np.array([1.0, -2.0]))
     assert 0.5 < err < 1.5
+
+
+def test_steep_start_retries_along_scaled_gradient():
+    # x - log x near its domain edge: the gradient is about -1e12, so no
+    # halving of the unit step along -g passes Armijo; the retry along
+    # -g / |g|_inf does, as it does for klest fits from zero scores
+    def obj(x):
+        if x[0] <= 0.0:
+            return np.inf, np.array([0.0])
+        return float(x[0] - np.log(x[0])), np.array([1.0 - 1.0 / x[0]])
+    res = bfgs(obj, np.array([1e-12]), max_iter=100, grad_tol=1e-10)
+    assert res.status == "converged"
+    assert float(res.x_star[0]) == pytest.approx(1.0, abs=1e-8)
+
+
+def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
+    """bfgs with the textbook dense update: two matvecs and three outer
+    products per iteration, a fresh identity on every restart.  Same
+    line search, curvature skip and restart policy as bfgs."""
+    x = np.array(x0, dtype=float)
+    f, g = obj(x)
+    f = float(f)
+    g = np.asarray(g, dtype=float)
+    n = x.size
+    hinv = np.eye(n)
+    iterations = 0
+    status = "max_iter"
+    for _ in range(max_iter):
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm < grad_tol:
+            status = "converged"
+            break
+        p = -hinv @ g
+        dd = float(p @ g)
+        restarted = False
+        if dd >= 0.0:
+            hinv = np.eye(n)
+            p = -g
+            dd = -float(g @ g)
+            restarted = True
+        trial = _backtrack(obj, x, f, p, dd)
+        if trial is None and (not restarted or gnorm > 1.0):
+            hinv = np.eye(n)
+            p = -g / max(1.0, gnorm)
+            dd = float(p @ g)
+            trial = _backtrack(obj, x, f, p, dd)
+        if trial is None:
+            status = "line_search_failed"
+            break
+        x_new, f_new, g_new = trial
+        g_new = np.asarray(g_new, dtype=float)
+        s = x_new - x
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            rho = 1.0 / sy
+            hy = hinv @ yv
+            hinv -= rho * (np.outer(s, hy) + np.outer(hy, s))
+            hinv += rho * rho * (float(yv @ hy) + sy) * np.outer(s, s)
+        x, f, g = x_new, f_new, g_new
+        iterations += 1
+    else:
+        if float(np.max(np.abs(g))) < grad_tol:
+            status = "converged"
+    return OptimResult(x_star=x, f_star=f, grad_norm=float(np.max(np.abs(g))),
+                       iterations=iterations, status=status)
+
+
+def _kinked(x):
+    # 1.5 (x0 - 5)^2 for x0 >= 0, curvature 1e30 below zero, plus a plain
+    # quadratic in x1.  From x0 = -1e-10 the unit steepest-descent step
+    # fails and the scaled retry crosses the kink; the secant update then
+    # rounds the x0 row of the inverse Hessian to zero, so once x1 is done
+    # the quasi-Newton direction vanishes and bfgs restarts from a
+    # non-identity matrix.
+    x0, x1 = x
+    q = 0.5 * (x1 - 1.0) ** 2
+    if x0 >= 0.0:
+        return 1.5 * (x0 - 5.0) ** 2 + q, np.array([3.0 * (x0 - 5.0), x1 - 1.0])
+    return (37.5 - 15.0 * x0 + 0.5e30 * x0 * x0 + q,
+            np.array([-15.0 + 1e30 * x0, x1 - 1.0]))
+
+
+def _assert_same_run(obj, x0, space=None, **kw):
+    """bfgs and reference_bfgs end with the same status after the same
+    number of iterations and objective evaluations, at the same point."""
+    runs = []
+    for solver in (reference_bfgs, bfgs):
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return obj(x)
+
+        runs.append((solver(counted, x0, **kw), len(calls)))
+    (ref, ref_calls), (res, res_calls) = runs
+    assert (res.status, res.iterations, res_calls) == (
+        ref.status, ref.iterations, ref_calls)
+    a, b = (ref.x_star, res.x_star) if space is None else (
+        space @ ref.x_star, space @ res.x_star)
+    assert np.linalg.norm(b - a) <= 1e-10 * np.linalg.norm(a)
+    assert res.f_star == pytest.approx(ref.f_star, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_matches_dense_reference_on_spd_quadratic(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    a = m.T @ m + np.eye(n)
+    b = rng.standard_normal(n)
+    _assert_same_run(spd_objective(a, b), np.zeros(n), max_iter=200,
+                     grad_tol=1e-10)
+
+
+def test_matches_dense_reference_on_rosenbrock():
+    _assert_same_run(_rosenbrock, np.array([-1.2, 1.0]), max_iter=500,
+                     grad_tol=1e-10)
+
+
+def test_matches_dense_reference_on_ew_risk():
+    # the gaussian gram matrix has condition number ~1e19, so coefficients
+    # along its near-null directions are not identified and carry rounding
+    # drift; the fitted scores G c are what both runs must agree on
+    spec = default_pair()
+    rng = Rng(0)
+    s = SampleSet(xs_p=sample_piecewise(spec, "p", 30, rng, name="t/p"),
+                  xs_q=sample_piecewise(spec, "q", 30, rng, name="t/q"))
+    g = gram(KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled)),
+             s.pooled, s.pooled)
+    loss = family_loss("ew")
+
+    def obj(c):
+        return empirical_risk(loss, g, s.labels, c, 1e-2)
+
+    _assert_same_run(obj, np.zeros(60), space=g, max_iter=300)
+
+
+def test_matches_dense_reference_through_restarts(monkeypatch):
+    resets = []
+    reset = optim._reset
+
+    def recording(hinv):
+        resets.append(hinv.copy())
+        reset(hinv)
+
+    monkeypatch.setattr(optim, "_reset", recording)
+    x0 = np.array([-1e-10, 3.0])
+    res = bfgs(_kinked, x0, max_iter=100, grad_tol=1e-10)
+    assert res.status == "converged"
+    assert np.allclose(res.x_star, [5.0, 1.0])
+    # the scaled retry at iteration 0, then a reset of an updated matrix
+    assert len(resets) == 2
+    assert not np.array_equal(resets[1], np.eye(2))
+    monkeypatch.undo()
+    _assert_same_run(_kinked, x0, max_iter=100, grad_tol=1e-10)
