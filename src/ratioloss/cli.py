@@ -38,7 +38,8 @@ def _py(obj):
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _py(obj.tolist())
+        # tolist already gives plain floats for a float array
+        return obj.tolist() if obj.dtype.kind == "f" else _py(obj.tolist())
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -326,6 +327,9 @@ def cmd_fit(o: dict) -> int:
     else:
         model = fit(samples, loss, kernel, alpha, max_iter=o["max_iter"],
                     grad_tol=o["grad_tol"], family=o["family"], k=o["k"])
+        if model.status in ("max_iter", "line_search_failed"):
+            print(f"warning: fit ended {model.status} after "
+                  f"{model.iterations} iterations", file=sys.stderr)
 
     _write_json(os.path.join(out, "model.json"), {
         "family": o["family"], "k": o["k"], "alpha": alpha,
@@ -427,7 +431,8 @@ def cmd_fig2(o: dict) -> int:
         columns.append(cell.curve)
         cells_doc.append({"family": cell.family, "size": cell.size,
                           "alpha": cell.alpha, "max_abs": cell.max_abs,
-                          "median_max_abs": cell.median_max_abs})
+                          "median_max_abs": cell.median_max_abs,
+                          "unconverged": cell.unconverged})
     _write_csv(os.path.join(out, "fig2_curves.csv"), header, columns)
     _write_json(os.path.join(out, "fig2_summary.json"), {"cells": cells_doc})
     return 0

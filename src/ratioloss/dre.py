@@ -144,22 +144,24 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
                            alpha: float) -> RatioModel:
     """Direct linear-system solution of the kulsif objective.
 
-    The first-order condition of the kulsif empirical risk is solved by
-    (D_Q G + 2 alpha N I) c = 1_P, with a 1e-10 diagonal jitter when
-    alpha is zero.  Matches the BFGS fit in predicted scores.
+    The first-order condition of the kulsif empirical risk is
+    (D_Q G + ridge I) c = 1_P with ridge = 2 alpha N, or a 1e-10
+    diagonal jitter when alpha is zero.  Its P rows read ridge c_P = 1,
+    so only the Q block is solved: (G_QQ + ridge I) c_Q = -G_QP c_P.
+    Matches the BFGS fit in predicted scores.
     """
     centers = samples.pooled
     labels = samples.labels
     n = labels.size
+    n_p = len(samples.xs_p)  # pooled points are P first, then Q
     g_matrix = gram(kernel, centers, centers)
-    a = np.where(labels < 0)[0]
-    lhs = np.zeros_like(g_matrix)
-    lhs[a, :] = g_matrix[a, :]
     ridge = 2.0 * alpha * n if alpha > 0 else GRAM_JITTER
-    lhs[np.diag_indices(n)] += ridge
-    rhs = (labels > 0).astype(float)
+    coeffs = np.empty(n)
+    coeffs[:n_p] = 1.0 / ridge
+    lhs = g_matrix[n_p:, n_p:].copy()
+    lhs[np.diag_indices(n - n_p)] += ridge
     try:
-        coeffs = np.linalg.solve(lhs, rhs)
+        coeffs[n_p:] = np.linalg.solve(lhs, -(g_matrix[n_p:, :n_p] @ coeffs[:n_p]))
     except np.linalg.LinAlgError as exc:
         raise FitError(f"kulsif linear system is singular: {exc}") from exc
     loss = family_loss("kulsif")

@@ -60,6 +60,7 @@ class Fig2Cell:
     max_abs: list  # one entry per seed replicate
     median_max_abs: float
     curve: np.ndarray  # beta_hat of replicate 0 on the grid
+    unconverged: int  # replicates whose fit ended max_iter or line_search_failed
 
 
 def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
@@ -71,7 +72,8 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
 
     kulsif is solved in closed form (its exact minimizer is the object
     of interest); ew is fitted by BFGS.  Reports max |beta_hat| on the
-    evaluation grid per replicate.
+    evaluation grid per replicate, and per cell how many replicates'
+    fits ended neither converged nor in closed form.
     """
     sampler, exact_beta = gaussian_pair()
     grid = np.linspace(grid_lo, grid_hi, grid_n)
@@ -83,6 +85,7 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
             for alpha in alphas:
                 maxima = []
                 curve0 = None
+                unconverged = 0
                 for rep in range(n_seeds):
                     rng = Rng(seed)
                     tag = f"fig2/{family}/{size}/{alpha:g}/{rep}"
@@ -96,6 +99,8 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
                     else:
                         model = fit(samples, family_loss(family), kernel,
                                     alpha, max_iter=max_iter, family=family)
+                    unconverged += model.status not in ("converged",
+                                                        "closed_form")
                     bh = predict_ratio(model, grid)
                     maxima.append(float(np.max(np.abs(bh))))
                     if rep == 0:
@@ -103,7 +108,8 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
                 cells.append(Fig2Cell(family=family, size=size,
                                       alpha=float(alpha), max_abs=maxima,
                                       median_max_abs=float(np.median(maxima)),
-                                      curve=curve0))
+                                      curve=curve0,
+                                      unconverged=unconverged))
     return {"cells": cells, "grid": grid, "exact_beta": exact_beta(grid)}
 
 

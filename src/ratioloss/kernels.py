@@ -7,6 +7,9 @@ from typing import Optional
 import numpy as np
 
 GRAM_JITTER = 1e-10
+# squared distances are formed this many rows at a time, so each block's
+# temporaries stay in cache and no second n x m array exists
+DIST_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,23 @@ def as_points(x) -> np.ndarray:
     return x
 
 
+def _sq_dist_rows(prod: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Overwrite prod = x @ y.T with the clipped squared distances
+    |x_i|^2 + |y_j|^2 - 2 x_i'y_j, DIST_ROWS rows at a time.
+
+    Yields (i, rows) after each block, rows being the view of prod that
+    starts at row i, so the caller can transform it in place.
+    """
+    x2 = np.sum(x ** 2, axis=1)
+    y2 = np.sum(y ** 2, axis=1)
+    for i in range(0, len(prod), DIST_ROWS):
+        rows = prod[i:i + DIST_ROWS]
+        rows *= -2.0
+        rows += x2[i:i + DIST_ROWS, None] + y2
+        np.maximum(rows, 0.0, out=rows)
+        yield i, rows
+
+
 def gram(spec: KernelSpec, x, y) -> np.ndarray:
     """Cross Gram matrix K[i, j] = k(x_i, y_j)."""
     x = as_points(x)
@@ -51,10 +71,12 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise ValueError("point sets have mismatched dimensions")
     if spec.kind == "gaussian":
-        sq = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
-              - 2.0 * (x @ y.T))
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.sigma ** 2))
+        k = x @ y.T
+        # rows / (-2 sigma^2) rounds exactly as -rows / (2 sigma^2)
+        scale = -2.0 * spec.sigma ** 2
+        for _, rows in _sq_dist_rows(k, x, y):
+            np.exp(np.divide(rows, scale, out=rows), out=rows)
+        return k
     return (spec.offset + x @ y.T) ** int(spec.degree)
 
 
@@ -64,16 +86,26 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
 
 
 def median_heuristic(points) -> float:
-    """Median pairwise Euclidean distance over all pairs i < j."""
+    """Median pairwise Euclidean distance over all pairs i < j.
+
+    The squared distances of the pairs are partitioned around the middle
+    and only the one or two middle values are square-rooted; sqrt is
+    monotone, so this is the median of the distances.
+    """
     pts = as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    sq = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
-          - 2.0 * (pts @ pts.T))
-    np.maximum(sq, 0.0, out=sq)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
+    pairs = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i, rows in _sq_dist_rows(pts @ pts.T, pts, pts):
+        for j, row in enumerate(rows, start=i):
+            pairs[start:start + n - j - 1] = row[j + 1:]
+            start += n - j - 1
+    mid = len(pairs) // 2
+    kth = [mid] if len(pairs) % 2 else [mid - 1, mid]
+    pairs.partition(kth)
+    med = float(np.median(np.sqrt(pairs[kth])))
     if med <= 0.0:
         raise ValueError("all points coincide; median distance is zero")
     return med

@@ -5,13 +5,17 @@ search is Armijo backtracking from unit step; non-finite trial values
 are rejected like insufficient-decrease steps, so objectives may return
 inf outside their effective domain.
 
-The dense n x n inverse Hessian H is read once and written once per
-iteration.  The product H g is carried across iterations: after a step,
-one matvec gives H g_new, H y is its difference from the carried H g,
-and the update corrects H g_new in O(n).  The BFGS update itself
-(Nocedal & Wright, Numerical Optimization, 2nd ed., eq. 6.17) is
-applied as the symmetric rank-2 step H -= s w' + w s', row block by row
-block, with no n x n temporary.
+The BFGS update (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+eq. 6.17) is the symmetric rank-2 step H -= s w' + w s', so the inverse
+Hessian is kept in the compact form of Byrd, Nocedal & Schnabel (Math.
+Prog. 63, 1994): H = D - S'W - W'S over the rows s, w of the updates
+applied since the last restart, with D the identity.  A product H v
+costs O(nk) for k held pairs and no n x n array exists.  Once n pairs
+are held they are folded into a dense D, which happens only when
+max_iter >= n, that is, for small problems.  The product H g is carried
+across iterations: after a step, one product gives H g_new, H y is its
+difference from the carried H g, and the update corrects H g_new in
+O(n).
 """
 from __future__ import annotations
 
@@ -31,9 +35,6 @@ CURVATURE_FLOOR = 1e-10
 # with this sigma plus a no-blowup bound of PLATEAU_SLACK relative to f
 WOLFE_SIGMA = 0.9
 PLATEAU_SLACK = 1e-12
-# the rank-2 inverse-Hessian update is applied this many rows at a time,
-# so each block's product stays in cache and no n x n temporary exists
-UPDATE_ROWS = 64
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -83,10 +84,39 @@ def _backtrack(obj: Objective, x: np.ndarray, f: float, p: np.ndarray,
     return None
 
 
-def _reset(hinv: np.ndarray) -> None:
-    """Overwrite hinv with the identity, in place."""
-    hinv.fill(0.0)
-    hinv.flat[::hinv.shape[0] + 1] = 1.0
+class _InverseHessian:
+    """H = D - S'W - W'S, with D the identity until the first fold."""
+
+    def __init__(self, n: int, rows: int):
+        self.s = np.empty((rows, n))
+        self.w = np.empty((rows, n))
+        self.k = 0  # pairs held
+        self.d = None  # dense D; None stands for the identity
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        """H v, for a vector or a matrix v."""
+        out = v.copy() if self.d is None else self.d @ v
+        if self.k:
+            s, w = self.s[:self.k], self.w[:self.k]
+            out -= s.T @ (w @ v) + w.T @ (s @ v)
+        return out
+
+    def update(self, s: np.ndarray, w: np.ndarray) -> None:
+        """H -= s w' + w s'."""
+        self.s[self.k] = s
+        self.w[self.k] = w
+        self.k += 1
+        n = s.size
+        if self.k == n:
+            # n pairs cost as much as a dense matrix; fold them into D
+            self.d = self.dot(np.eye(n))
+            self.k = 0
+
+
+def _reset(hinv: _InverseHessian) -> None:
+    """Make hinv the identity again, dropping its pairs and D."""
+    hinv.k = 0
+    hinv.d = None
 
 
 def bfgs(obj: Objective, x0, max_iter: int = 100,
@@ -111,10 +141,9 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
         raise ValueError("objective is not finite at the starting point")
 
     n = x.size
-    hinv = np.eye(n)
+    # every update is one accepted step, so at most max_iter are held
+    hinv = _InverseHessian(n, min(n, max(max_iter, 0)))
     hg = g  # hinv @ g, carried across iterations
-    left = np.empty((n, 2))  # [s w], times right = [w; s] gives s w' + w s'
-    right = np.empty((2, n))
     iterations = 0
     status = "max_iter"
 
@@ -159,19 +188,14 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
-        hg_new = hinv @ g_new
+        hg_new = hinv.dot(g_new)
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             # hinv -= rho (s hy' + hy s') - rho^2 (y'hy + s'y) s s', written
             # as hinv -= s w' + w s' with hy = hinv @ y = hg_new - hg
             rho = 1.0 / sy
             hy = hg_new - hg
             w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
-            left[:, 0] = s
-            left[:, 1] = w
-            right[0] = w
-            right[1] = s
-            for i in range(0, n, UPDATE_ROWS):
-                hinv[i:i + UPDATE_ROWS] -= left[i:i + UPDATE_ROWS] @ right
+            hinv.update(s, w)
             hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
         x, f, g, hg = x_new, f_new, g_new, hg_new
         iterations += 1

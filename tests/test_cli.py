@@ -121,6 +121,22 @@ def test_fit_with_cross_validated_alpha(tmp_path):
     assert len(metrics["cv_table"]) == 2
 
 
+def test_unconverged_fit_warns_and_exits_zero(tmp_path, capsys):
+    out = tmp_path / "fit"
+    assert main(["fit", "--family", "ew", "--alpha", "0", "--n", "5",
+                 "--m", "5", "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["status"] in ("max_iter", "line_search_failed")
+    assert capsys.readouterr().err == (
+        f"warning: fit ended {metrics['status']} after "
+        f"{metrics['iterations']} iterations\n")
+    assert main(["fit", "--family", "kulsif", "--n", "5", "--m", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())["status"] == (
+        "converged")
+    assert capsys.readouterr().err == ""
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

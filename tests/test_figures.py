@@ -30,6 +30,16 @@ def test_figure2_reduced():
     assert np.allclose(res["exact_beta"], exact(res["grid"]))
 
 
+def test_figure2_counts_unconverged_fits():
+    # at alpha 1e-6 three of the four ew fits on 5 + 5 points stop at
+    # max_iter; closed-form kulsif fits never count
+    res = figure2(seed=0, sizes=(10,), alphas=(1e-6, 1e-2), n_seeds=4,
+                  grid_n=21, max_iter=200)
+    assert [(c.family, c.alpha, c.unconverged) for c in res["cells"]] == [
+        ("kulsif", 1e-6, 0), ("kulsif", 1e-2, 0),
+        ("ew", 1e-6, 3), ("ew", 1e-2, 0)]
+
+
 def test_figure2_replicates_differ():
     res = figure2(seed=0, sizes=(10,), alphas=(1e-2,), n_seeds=2,
                   families=("kulsif",), grid_n=21, max_iter=40)

@@ -1,4 +1,6 @@
 """Kernel specs, Gram matrices, and the median bandwidth heuristic."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,3 +78,56 @@ def test_gaussian_gram_positive_semidefinite(xs, sigma):
     k = gram(KernelSpec(kind="gaussian", sigma=sigma), xs, xs)
     eigs = np.linalg.eigvalsh(0.5 * (k + k.T))
     assert float(eigs.min()) > -1e-8
+
+
+def dense_gaussian_gram(sigma, x, y):
+    """The whole-matrix formula gram must reproduce bit for bit."""
+    sq = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
+          - 2.0 * (x @ y.T))
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * sigma ** 2))
+
+
+def dense_median_heuristic(pts):
+    """The whole-matrix formula median_heuristic must reproduce bit for bit."""
+    sq = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
+          - 2.0 * (pts @ pts.T))
+    np.maximum(sq, 0.0, out=sq)
+    return float(np.median(np.sqrt(sq[np.triu_indices(len(pts), k=1)])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [63, 64, 65, 333])
+def test_row_blocks_match_dense_formulas_bit_for_bit(n, d):
+    # pair counts n(n-1)/2: 1953 is odd; 2016, 2080 and 55278 are even
+    rng = np.random.default_rng(100 * n + d)
+    x = rng.standard_normal((n, d)) * 3.0
+    x[: n // 4] = np.round(x[: n // 4], 1)  # repeated distances
+    y = rng.standard_normal((n // 2 + 7, d))
+    sigma = float(rng.uniform(0.1, 2.0))
+    spec = KernelSpec(kind="gaussian", sigma=sigma)
+    assert median_heuristic(x) == dense_median_heuristic(x)
+    assert np.array_equal(gram(spec, x, x), dense_gaussian_gram(sigma, x, x))
+    assert np.array_equal(gram(spec, x, y), dense_gaussian_gram(sigma, x, y))
+    assert np.array_equal(gram(spec, y, x), dense_gaussian_gram(sigma, y, x))
+
+
+def _peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_inputs_build_one_square_array():
+    # the dense formulas peak at about three n x n arrays; row blocks keep
+    # gram to its output and median_heuristic to one product plus the
+    # n(n-1)/2 pair buffer
+    n = 2000
+    x = np.random.default_rng(0).standard_normal((n, 1))
+    square = n * n * 8
+    assert _peak_bytes(lambda: median_heuristic(x)) < 2.0 * square
+    spec = KernelSpec(kind="gaussian", sigma=0.5)
+    assert _peak_bytes(lambda: gram(spec, x, x)) < 1.25 * square

@@ -1,4 +1,6 @@
 """BFGS minimizer and gradient checker."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,19 +155,24 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
                        iterations=iterations, status=status)
 
 
-def _kinked(x):
-    # 1.5 (x0 - 5)^2 for x0 >= 0, curvature 1e30 below zero, plus a plain
-    # quadratic in x1.  From x0 = -1e-10 the unit steepest-descent step
-    # fails and the scaled retry crosses the kink; the secant update then
-    # rounds the x0 row of the inverse Hessian to zero, so once x1 is done
-    # the quasi-Newton direction vanishes and bfgs restarts from a
+def _kinked_objective(q, dq):
+    # 1.5 (x0 - 5)^2 for x0 >= 0, curvature 1e30 below zero, plus q(x1).
+    # From x0 = -1e-10 the unit steepest-descent step fails and the
+    # scaled retry crosses the kink; the secant update then rounds the x0
+    # row of the inverse Hessian to zero, so once x1 is done the
+    # quasi-Newton direction vanishes and bfgs restarts from a
     # non-identity matrix.
-    x0, x1 = x
-    q = 0.5 * (x1 - 1.0) ** 2
-    if x0 >= 0.0:
-        return 1.5 * (x0 - 5.0) ** 2 + q, np.array([3.0 * (x0 - 5.0), x1 - 1.0])
-    return (37.5 - 15.0 * x0 + 0.5e30 * x0 * x0 + q,
-            np.array([-15.0 + 1e30 * x0, x1 - 1.0]))
+    def obj(x):
+        x0, x1 = x
+        if x0 >= 0.0:
+            return (1.5 * (x0 - 5.0) ** 2 + q(x1),
+                    np.array([3.0 * (x0 - 5.0), dq(x1)]))
+        return (37.5 - 15.0 * x0 + 0.5e30 * x0 * x0 + q(x1),
+                np.array([-15.0 + 1e30 * x0, dq(x1)]))
+    return obj
+
+
+_kinked = _kinked_objective(lambda t: 0.5 * (t - 1.0) ** 2, lambda t: t - 1.0)
 
 
 def _assert_same_run(obj, x0, space=None, **kw):
@@ -227,7 +234,8 @@ def test_matches_dense_reference_through_restarts(monkeypatch):
     reset = optim._reset
 
     def recording(hinv):
-        resets.append(hinv.copy())
+        # the discarded inverse Hessian, materialized
+        resets.append(hinv.dot(np.eye(2)))
         reset(hinv)
 
     monkeypatch.setattr(optim, "_reset", recording)
@@ -240,3 +248,56 @@ def test_matches_dense_reference_through_restarts(monkeypatch):
     assert not np.array_equal(resets[1], np.eye(2))
     monkeypatch.undo()
     _assert_same_run(_kinked, x0, max_iter=100, grad_tol=1e-10)
+
+
+def test_folds_match_dense_reference_through_a_restart(monkeypatch):
+    # with cosh in x1 the run takes 10 updates, more than 2n = 4, so the
+    # held pairs are folded into a dense matrix several times, and the
+    # restart discards a folded matrix
+    obj = _kinked_objective(lambda t: np.cosh(t - 1.0),
+                            lambda t: np.sinh(t - 1.0))
+    folds = []
+    discarded = []
+    update = optim._InverseHessian.update
+    reset = optim._reset
+
+    def recording_update(hinv, s, w):
+        update(hinv, s, w)
+        if hinv.k == 0:
+            folds.append(None)
+
+    def recording_reset(hinv):
+        discarded.append(hinv.d is not None)
+        reset(hinv)
+
+    monkeypatch.setattr(optim._InverseHessian, "update", recording_update)
+    monkeypatch.setattr(optim, "_reset", recording_reset)
+    x0 = np.array([-1e-10, 3.0])
+    res = bfgs(obj, x0, max_iter=100, grad_tol=1e-10)
+    assert res.status == "converged"
+    assert len(folds) >= 2
+    assert discarded == [False, True]
+    monkeypatch.undo()
+    _assert_same_run(obj, x0, max_iter=100, grad_tol=1e-10)
+
+
+def test_large_problem_holds_no_dense_inverse_hessian():
+    # a quadratic with three distinct eigenvalues at n = 2000: a dense
+    # inverse Hessian alone would take n^2 doubles
+    n = 2000
+    a = np.repeat([1.0, 3.0, 10.0], [700, 700, 600])
+    b = np.linspace(-1.0, 1.0, n)
+
+    def obj(x):
+        ax = a * x
+        return 0.5 * float(x @ ax) - float(b @ x), ax - b
+
+    tracemalloc.start()
+    try:
+        res = bfgs(obj, np.zeros(n), max_iter=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == "converged"
+    assert np.allclose(res.x_star, b / a, atol=1e-7)
+    assert peak < 0.25 * n * n * 8
