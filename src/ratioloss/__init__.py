@@ -1,55 +1,54 @@
 """ratioloss: classification losses from Bregman divergences, kernel
 density-ratio estimation, and importance-weighted regression."""
 
-from .generators import (BUILTIN_NAMES, DOMAIN_EPS, RATIO_CAP,
-                         BregmanGenerator, DiscretePair, bregman_term,
-                         builtin_generator, derivative_consistency,
-                         diamond_transform, divergence_discrete,
-                         divergence_quadrature, weight_representation)
-from .losses import (FAMILY_NAMES, CertificationError, CompositeLoss,
-                     RatioMap, bayes_risk, canonical_ratio_map,
-                     conditional_risk, construct_loss, convexity_margin,
-                     excess_risk_identity_check, exp_ratio_map, family_loss,
-                     gamma_funcs, identity_ratio_map, reid_convexity_margins,
+from .generators import (FAMILY_NAMES, RATIO_CAP, BregmanGenerator,
+                         DiscretePair, bregman_term, builtin_generator,
+                         derivative_consistency, diamond_transform,
+                         divergence_discrete, divergence_quadrature,
+                         weight_representation)
+from .losses import (CertificationError, CompositeLoss, RatioMap, bayes_risk,
+                     canonical_ratio_map, conditional_risk, construct_loss,
+                     convexity_margin, excess_risk_identity_check,
+                     exp_ratio_map, family_loss, gamma_funcs,
+                     identity_ratio_map, reid_convexity_margins,
                      shuford_weight)
 from .kernels import (GRAM_JITTER, KernelSpec, as_points, gram, kernel_eval,
                       median_heuristic)
-from .optim import OptimResult, bfgs, grad_check
+from .optim import bfgs, grad_check
 from .quadrature import integrate, simpson_nodes, simpson_weights
-from .synth import (PiecewisePairSpec, RegressionTask, Rng, default_pair,
-                    gaussian_pair, piecewise_beta, regression_task,
-                    sample_piecewise, target_function)
-from .dre import (CLAMP_BUDGET, FitError, PopulationFit, RatioModel,
-                  SampleSet, cross_validate_alpha, empirical_risk, fit,
+from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
+                    piecewise_beta, regression_task, sample_piecewise,
+                    target_function)
+from .dre import (CLAMP_BUDGET, FitError, RatioModel, SampleSet,
+                  cross_validate_alpha, empirical_risk, fit,
                   kulsif_fit_closed_form, population_fit_parametric,
                   predict_ratio, sup_error)
-from .iw import (AGG_RIDGE, CandidateSet, WeightedRegressionTask,
-                 aggregate_predictor, iwa_aggregate, iwv_select, krr_predictor,
-                 weighted_krr, weighted_risk)
+from .iw import (CandidateSet, WeightedRegressionTask, aggregate_predictor,
+                 iwa_aggregate, iwv_select, krr_predictor, weighted_krr,
+                 weighted_risk)
 from .checks import CHECK_GROUPS, properness_residuals, run_all
 from .figures import figure1, figure2, figure3
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGG_RIDGE", "BUILTIN_NAMES", "BregmanGenerator", "CHECK_GROUPS",
-    "CLAMP_BUDGET", "CandidateSet", "CertificationError", "CompositeLoss",
-    "DOMAIN_EPS", "DiscretePair", "FAMILY_NAMES", "FitError", "GRAM_JITTER",
-    "KernelSpec", "OptimResult", "PiecewisePairSpec", "PopulationFit",
-    "RATIO_CAP", "RatioMap", "RatioModel", "RegressionTask", "Rng",
-    "SampleSet", "WeightedRegressionTask", "aggregate_predictor", "as_points",
-    "bayes_risk", "bfgs", "bregman_term", "builtin_generator",
-    "canonical_ratio_map", "conditional_risk", "construct_loss",
-    "convexity_margin", "cross_validate_alpha", "default_pair",
-    "derivative_consistency", "diamond_transform", "divergence_discrete",
-    "divergence_quadrature", "empirical_risk", "excess_risk_identity_check",
-    "exp_ratio_map", "family_loss", "figure1", "figure2", "figure3", "fit",
-    "gamma_funcs", "gaussian_pair", "grad_check", "gram",
-    "identity_ratio_map", "integrate", "iwa_aggregate", "iwv_select",
+    "BregmanGenerator", "CHECK_GROUPS", "CLAMP_BUDGET", "CandidateSet",
+    "CertificationError", "CompositeLoss", "DiscretePair", "FAMILY_NAMES",
+    "FitError", "GRAM_JITTER", "KernelSpec", "PiecewisePairSpec", "RATIO_CAP",
+    "RatioMap", "RatioModel", "Rng", "SampleSet", "WeightedRegressionTask",
+    "aggregate_predictor", "as_points", "bayes_risk", "bfgs", "bregman_term",
+    "builtin_generator", "canonical_ratio_map", "conditional_risk",
+    "construct_loss", "convexity_margin", "cross_validate_alpha",
+    "default_pair", "derivative_consistency", "diamond_transform",
+    "divergence_discrete", "divergence_quadrature", "empirical_risk",
+    "excess_risk_identity_check", "exp_ratio_map", "family_loss", "figure1",
+    "figure2", "figure3", "fit", "gamma_funcs", "gaussian_pair", "grad_check",
+    "gram", "identity_ratio_map", "integrate", "iwa_aggregate", "iwv_select",
     "kernel_eval", "krr_predictor", "kulsif_fit_closed_form",
-    "median_heuristic", "piecewise_beta", "population_fit_parametric",
-    "predict_ratio", "properness_residuals", "regression_task",
-    "reid_convexity_margins", "run_all", "sample_piecewise", "shuford_weight",
-    "simpson_nodes", "simpson_weights", "sup_error", "target_function",
-    "weight_representation", "weighted_krr", "weighted_risk",
+    "median_heuristic", "piecewise_beta",
+    "population_fit_parametric", "predict_ratio", "properness_residuals",
+    "regression_task", "reid_convexity_margins", "run_all",
+    "sample_piecewise", "shuford_weight", "simpson_nodes", "simpson_weights",
+    "sup_error", "target_function", "weight_representation", "weighted_krr",
+    "weighted_risk",
 ]

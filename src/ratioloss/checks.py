@@ -7,12 +7,12 @@ from one seed; the CLI surfaces the result as `ratioloss check`.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .generators import (BregmanGenerator, DiscretePair, builtin_generator,
-                         diamond_transform, divergence_discrete,
+                         diamond_transform, divergence_discrete, parse_family,
                          weight_representation)
 from .losses import (CompositeLoss, bayes_risk, canonical_ratio_map,
                      conditional_risk, convexity_margin,
@@ -25,18 +25,6 @@ CHECK_FAMILIES = ("kulsif", "lr", "klest", "boost", "poly0", "poly1",
                   "poly6", "ew")
 
 
-def _family(name: str):
-    if name.startswith("poly"):
-        return family_loss("poly", k=float(name[4:]))
-    return family_loss(name)
-
-
-def _gen(name: str) -> BregmanGenerator:
-    if name.startswith("poly"):
-        return builtin_generator("poly", k=float(name[4:]))
-    return builtin_generator(name)
-
-
 # Score ranges kept inside each family's numerically comfortable zone:
 # ratios stay in roughly [0.15, 4] so fourth-order terms in the
 # finite-difference checks remain small.
@@ -45,6 +33,11 @@ _BETA_RANGE = {
     "boost": (0.15, 4.0), "poly0": (0.15, 4.0), "poly1": (0.15, 4.0),
     "poly6": (0.2, 2.0), "ew": (0.15, 2.5),
 }
+
+
+def _report(group: str, worst: float, tolerance: float, cases: int) -> dict:
+    return {"group": group, "max_residual": worst, "tolerance": tolerance,
+            "cases": cases, "passed": worst <= tolerance}
 
 
 def _random_pair(rng: np.random.Generator) -> DiscretePair:
@@ -64,7 +57,7 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
     worst = 0.0
     cases = 0
     for name in CHECK_FAMILIES:
-        loss = _family(name)
+        loss = family_loss(*parse_family(name))
         lo, hi = _BETA_RANGE[name]
         for _ in range(n_pairs // len(CHECK_FAMILIES) + 1):
             pair = _random_pair(rng)
@@ -78,9 +71,7 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
             excess, half_breg = excess_risk_identity_check(loss, pair_safe, f)
             worst = max(worst, abs(excess - half_breg))
             cases += 1
-    return {"group": "excess-risk", "max_residual": worst,
-            "tolerance": tolerance, "cases": cases,
-            "passed": worst <= tolerance}
+    return _report("excess-risk", worst, tolerance, cases)
 
 
 def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict:
@@ -90,14 +81,14 @@ def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict
     worst = 0.0
     cases = 0
     for name in CHECK_FAMILIES:
-        gen = _gen(name)
+        gen = builtin_generator(*parse_family(name))
         rmap = canonical_ratio_map(gen)
         lower, upper = convexity_margin(gen, rmap, x)
         worst = max(worst, max(0.0, float(-lower.min()), float(-upper.min())))
         cases += x.size
     fd_worst = 0.0
     for name in CHECK_FAMILIES:
-        loss = _family(name)
+        loss = family_loss(*parse_family(name))
         lo, hi = _BETA_RANGE[name]
         ys = loss.ratio_map.g_inv(np.linspace(lo, hi, 60))
         for label in (1, -1):
@@ -123,7 +114,7 @@ def check_weight_representation(seed: int = 0, n_cases: int = 100,
     worst = 0.0
     cases = 0
     for name in CHECK_FAMILIES:
-        gen = _gen(name)
+        gen = builtin_generator(*parse_family(name))
         for _ in range(n_cases):
             r, rhat = rng.uniform(0.1, 3.0, 2)
             direct = float(gen.phi(r) - gen.phi(rhat)
@@ -132,9 +123,7 @@ def check_weight_representation(seed: int = 0, n_cases: int = 100,
                                                n_nodes=n_nodes)
             worst = max(worst, abs(direct - via_weight))
             cases += 1
-    return {"group": "weight-representation", "max_residual": worst,
-            "tolerance": tolerance, "cases": cases,
-            "passed": worst <= tolerance}
+    return _report("weight-representation", worst, tolerance, cases)
 
 
 def check_shuford(seed: int = 0, n_cases: int = 100,
@@ -145,7 +134,7 @@ def check_shuford(seed: int = 0, n_cases: int = 100,
     worst = 0.0
     cases = 0
     for name in CHECK_FAMILIES:
-        loss = _family(name)
+        loss = family_loss(*parse_family(name))
         gen = loss.generator
         lo, hi = _BETA_RANGE[name]
         for _ in range(n_cases // len(CHECK_FAMILIES) + 1):
@@ -156,9 +145,7 @@ def check_shuford(seed: int = 0, n_cases: int = 100,
             rel = abs(w - closed) / max(abs(closed), 1e-12)
             worst = max(worst, rel)
             cases += 1
-    return {"group": "shuford-weight", "max_residual": worst,
-            "tolerance": tolerance, "cases": cases,
-            "passed": worst <= tolerance}
+    return _report("shuford-weight", worst, tolerance, cases)
 
 
 def _bayes_risk_deriv(loss: CompositeLoss, eta: float, h: float) -> float:
@@ -182,7 +169,7 @@ def check_savage(seed: int = 0, n_cases: int = 100,
     worst = 0.0
     cases = 0
     for name in CHECK_FAMILIES:
-        loss = _family(name)
+        loss = family_loss(*parse_family(name))
         lo, hi = _BETA_RANGE[name]
         for _ in range(n_cases // len(CHECK_FAMILIES) + 1):
             eta = float(rng.uniform(0.05, 0.95))
@@ -197,9 +184,7 @@ def check_savage(seed: int = 0, n_cases: int = 100,
                    + (eta - eta_hat) * _bayes_risk_deriv(loss, eta_hat, h))
             worst = max(worst, abs(lhs - rhs))
             cases += 1
-    return {"group": "savage-regret", "max_residual": worst,
-            "tolerance": tolerance, "cases": cases,
-            "passed": worst <= tolerance}
+    return _report("savage-regret", worst, tolerance, cases)
 
 
 def check_diamond(seed: int = 0, n_cases: int = 120,
@@ -231,9 +216,7 @@ def check_diamond(seed: int = 0, n_cases: int = 120,
         rhs = (dia.phi(x) - dia.phi(y) - dia.phi1(y) * (x - y))
         worst = max(worst, abs(lhs - rhs))
         cases += 1
-    return {"group": "diamond-transform", "max_residual": worst,
-            "tolerance": tolerance, "cases": cases,
-            "passed": worst <= tolerance}
+    return _report("diamond-transform", worst, tolerance, cases)
 
 
 def check_affine_invariance(seed: int = 0, n_cases: int = 60,
@@ -244,7 +227,7 @@ def check_affine_invariance(seed: int = 0, n_cases: int = 60,
     worst = 0.0
     cases = 0
     for name in ("kulsif", "lr", "klest", "boost"):
-        gen = _gen(name)
+        gen = builtin_generator(name)
         for _ in range(n_cases):
             a, b = rng.uniform(-2.0, 2.0, 2)
             shifted = BregmanGenerator(
@@ -259,9 +242,7 @@ def check_affine_invariance(seed: int = 0, n_cases: int = 60,
             d1 = divergence_discrete(shifted, pair, rhat)
             worst = max(worst, abs(d0 - d1))
             cases += 1
-    return {"group": "affine-invariance", "max_residual": worst,
-            "tolerance": tolerance, "cases": cases,
-            "passed": worst <= tolerance}
+    return _report("affine-invariance", worst, tolerance, cases)
 
 
 def properness_residuals(loss: CompositeLoss, etas: Sequence[float],

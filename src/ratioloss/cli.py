@@ -22,7 +22,7 @@ from .checks import run_all
 from .dre import (FitError, RatioModel, SampleSet, cross_validate_alpha, fit,
                   kulsif_fit_closed_form, predict_ratio)
 from .figures import FIGURE1_FAMILIES, figure1, figure2, figure3
-from .generators import builtin_generator
+from .generators import DOMAIN_EPS, FAMILY_NAMES, RATIO_CAP
 from .kernels import KernelSpec, median_heuristic
 from .losses import convexity_margin, family_loss
 from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
@@ -78,24 +78,13 @@ def _load_points(path: str) -> np.ndarray:
 
 # ------------------------------------------------------- option plumbing
 
-def _float(x) -> float:
-    return float(x)
-
-
-def _int(x) -> int:
-    return int(x)
-
-
-def _floats(x) -> list:
-    if isinstance(x, str):
-        return [float(v) for v in x.split(",") if v.strip()]
-    return [float(v) for v in x]
-
-
-def _ints(x) -> list:
-    if isinstance(x, str):
-        return [int(v) for v in x.split(",") if v.strip()]
-    return [int(v) for v in x]
+def _list_of(conv: Callable) -> Callable[[object], list]:
+    """A comma-separated string (blank items skipped) or a JSON list."""
+    def parse(x):
+        if isinstance(x, str):
+            x = [v for v in x.split(",") if v.strip()]
+        return [conv(v) for v in x]
+    return parse
 
 
 def _alpha(x):
@@ -117,92 +106,86 @@ def _choice(*names: str) -> Callable[[object], str]:
     return conv
 
 
-def _str(x) -> str:
-    return str(x)
-
-
 _REQUIRED = object()
 
 # dest -> (converter, default, help); default _REQUIRED means mandatory.
 SCHEMAS: dict = {
     "loss-show": {
-        "out": (_str, _REQUIRED, "output directory"),
-        "family": (_choice("kulsif", "lr", "klest", "boost", "poly", "ew"),
-                   _REQUIRED, "loss family"),
-        "k": (_float, 0.0, "poly exponent (poly family only)"),
-        "c1": (_float, 0.0, "additive constant on both partial losses"),
-        "c2": (_float, 0.0, "extra additive constant on the positive loss"),
-        "beta_lo": (_float, 0.05, "smallest tabulated ratio value"),
-        "beta_hi": (_float, 10.0, "largest tabulated ratio value"),
-        "n": (_int, 101, "number of grid rows"),
+        "out": (str, _REQUIRED, "output directory"),
+        "family": (_choice(*FAMILY_NAMES), _REQUIRED, "loss family"),
+        "k": (float, 0.0, "poly exponent (poly family only)"),
+        "c1": (float, 0.0, "additive constant on both partial losses"),
+        "c2": (float, 0.0, "extra additive constant on the positive loss"),
+        "beta_lo": (float, 0.05, "smallest tabulated ratio value"),
+        "beta_hi": (float, 10.0, "largest tabulated ratio value"),
+        "n": (int, 101, "number of grid rows"),
     },
     "fit": {
-        "out": (_str, _REQUIRED, "output directory"),
-        "family": (_choice("kulsif", "lr", "klest", "boost", "poly", "ew"),
-                   _REQUIRED, "loss family"),
-        "k": (_float, 0.0, "poly exponent (poly family only)"),
+        "out": (str, _REQUIRED, "output directory"),
+        "family": (_choice(*FAMILY_NAMES), _REQUIRED, "loss family"),
+        "k": (float, 0.0, "poly exponent (poly family only)"),
         "alpha": (_alpha, 0.1, "ridge weight, or 'cv' for cross-validation"),
-        "cv_alphas": (_floats, [10.0, 0.1, 1e-3], "alpha grid for 'cv'"),
-        "folds": (_int, 5, "cross-validation folds"),
-        "seed": (_int, 0, "sampling seed"),
+        "cv_alphas": (_list_of(float), [10.0, 0.1, 1e-3], "alpha grid for 'cv'"),
+        "folds": (int, 5, "cross-validation folds"),
+        "seed": (int, 0, "sampling seed"),
         "pair": (_choice("piecewise", "gaussian"), "piecewise",
                  "synthetic pair to sample when no data files are given"),
-        "n": (_int, 100, "numerator sample size"),
-        "m": (_int, 100, "denominator sample size"),
-        "data_p": (_str, None, "CSV of numerator points (overrides --pair)"),
-        "data_q": (_str, None, "CSV of denominator points"),
+        "n": (int, 100, "numerator sample size"),
+        "m": (int, 100, "denominator sample size"),
+        "data_p": (str, None, "CSV of numerator points (overrides --pair)"),
+        "data_q": (str, None, "CSV of denominator points"),
         "kernel": (_choice("gaussian", "polynomial"), "gaussian", "kernel kind"),
-        "sigma": (_float, None, "gaussian bandwidth (default: median heuristic)"),
-        "degree": (_int, 3, "polynomial kernel degree"),
-        "offset": (_float, 1.0, "polynomial kernel offset"),
+        "sigma": (float, None, "gaussian bandwidth (default: median heuristic)"),
+        "degree": (int, 3, "polynomial kernel degree"),
+        "offset": (float, 1.0, "polynomial kernel offset"),
         "solver": (_choice("bfgs", "closed-form"), "bfgs",
                    "closed-form is available for the kulsif family"),
-        "max_iter": (_int, 300, "BFGS iteration cap"),
-        "grad_tol": (_float, 1e-8, "BFGS gradient tolerance"),
+        "max_iter": (int, 300, "BFGS iteration cap"),
+        "grad_tol": (float, 1e-8, "BFGS gradient tolerance"),
     },
     "eval": {
-        "out": (_str, _REQUIRED, "output directory"),
-        "model": (_str, _REQUIRED, "model.json produced by fit"),
-        "data": (_str, None, "CSV of evaluation points"),
+        "out": (str, _REQUIRED, "output directory"),
+        "model": (str, _REQUIRED, "model.json produced by fit"),
+        "data": (str, None, "CSV of evaluation points"),
         "pair": (_choice("none", "piecewise", "gaussian"), "none",
                  "known pair to compare against"),
-        "grid_lo": (_float, -1.0, "grid start when no data file is given"),
-        "grid_hi": (_float, 1.0, "grid end"),
-        "grid_n": (_int, 401, "grid size"),
+        "grid_lo": (float, -1.0, "grid start when no data file is given"),
+        "grid_hi": (float, 1.0, "grid end"),
+        "grid_n": (int, 401, "grid size"),
     },
     "fig1": {
-        "out": (_str, _REQUIRED, "output directory"),
-        "quad_nodes": (_int, 2001, "Simpson nodes per density piece"),
-        "max_iter": (_int, 400, "BFGS iteration cap"),
-        "grid_n": (_int, 801, "rows in the curve table"),
+        "out": (str, _REQUIRED, "output directory"),
+        "quad_nodes": (int, 2001, "Simpson nodes per density piece"),
+        "max_iter": (int, 400, "BFGS iteration cap"),
+        "grid_n": (int, 801, "rows in the curve table"),
     },
     "fig2": {
-        "out": (_str, _REQUIRED, "output directory"),
-        "seed": (_int, 0, "base seed"),
-        "n_seeds": (_int, 10, "replicates per cell"),
-        "sizes": (_ints, [10, 100], "total sample sizes m+n"),
-        "alphas": (_floats, [1e-6, 1e-4, 1e-2, 1.0], "ridge weights"),
-        "grid_lo": (_float, -3.0, "evaluation grid start"),
-        "grid_hi": (_float, 3.0, "evaluation grid end"),
-        "grid_n": (_int, 241, "evaluation grid size"),
-        "max_iter": (_int, 200, "BFGS iteration cap"),
+        "out": (str, _REQUIRED, "output directory"),
+        "seed": (int, 0, "base seed"),
+        "n_seeds": (int, 10, "replicates per cell"),
+        "sizes": (_list_of(int), [10, 100], "total sample sizes m+n"),
+        "alphas": (_list_of(float), [1e-6, 1e-4, 1e-2, 1.0], "ridge weights"),
+        "grid_lo": (float, -3.0, "evaluation grid start"),
+        "grid_hi": (float, 3.0, "evaluation grid end"),
+        "grid_n": (int, 241, "evaluation grid size"),
+        "max_iter": (int, 200, "BFGS iteration cap"),
     },
     "fig3": {
-        "out": (_str, _REQUIRED, "output directory"),
-        "seed": (_int, 0, "sampling seed"),
-        "n_src": (_int, 200, "source (denominator) sample size"),
-        "n_tgt": (_int, 200, "target (numerator) sample size"),
-        "noise": (_float, 0.1, "observation noise level"),
-        "degree": (_int, 5, "polynomial kernel degree"),
-        "alpha": (_float, 1e-32, "ridge weight for the regressions"),
-        "quad_nodes": (_int, 2001, "Simpson nodes for the population fits"),
-        "l2_nodes": (_int, 10001, "Simpson nodes for the error integrals"),
-        "max_iter": (_int, 400, "BFGS iteration cap"),
-        "grid_n": (_int, 801, "rows in the curve table"),
+        "out": (str, _REQUIRED, "output directory"),
+        "seed": (int, 0, "sampling seed"),
+        "n_src": (int, 200, "source (denominator) sample size"),
+        "n_tgt": (int, 200, "target (numerator) sample size"),
+        "noise": (float, 0.1, "observation noise level"),
+        "degree": (int, 5, "polynomial kernel degree"),
+        "alpha": (float, 1e-32, "ridge weight for the regressions"),
+        "quad_nodes": (int, 2001, "Simpson nodes for the population fits"),
+        "l2_nodes": (int, 10001, "Simpson nodes for the error integrals"),
+        "max_iter": (int, 400, "BFGS iteration cap"),
+        "grid_n": (int, 801, "rows in the curve table"),
     },
     "check": {
-        "out": (_str, None, "optional directory for check_report.json"),
-        "seed": (_int, 0, "seed for the randomized identity checks"),
+        "out": (str, None, "optional directory for check_report.json"),
+        "seed": (int, 0, "seed for the randomized identity checks"),
     },
 }
 
@@ -336,7 +319,6 @@ def cmd_fit(o: dict) -> int:
         "kernel": {"kind": kernel.kind, "sigma": kernel.sigma,
                    "degree": kernel.degree, "offset": kernel.offset},
         "centers": model.centers, "coeffs": model.coeffs,
-        "clamp_count": model.clamp_count,
     })
     _write_json(os.path.join(out, "metrics.json"), {
         "train_risk": model.train_risk, "status": model.status,
@@ -375,9 +357,10 @@ def cmd_eval(o: dict) -> int:
     bh = predict_ratio(model, pts)
     header = [f"x{i}" for i in range(pts.shape[1])] + ["beta_hat"]
     columns = [pts[:, i] for i in range(pts.shape[1])] + [bh]
+    capped = (bh <= DOMAIN_EPS) | (bh >= RATIO_CAP)
     metrics = {"n_points": len(pts), "mean_beta_hat": float(np.mean(bh)),
                "max_beta_hat": float(np.max(bh)),
-               "clamp_count": model.clamp_count}
+               "clamp_count": int(np.sum(capped))}
     if o["pair"] != "none":
         if pts.shape[1] != 1:
             raise ValueError("pair comparison needs 1-d points")

@@ -20,6 +20,7 @@ from .generators import DOMAIN_EPS, RATIO_CAP, BregmanGenerator, bregman_term
 from .kernels import GRAM_JITTER, KernelSpec, as_points, gram
 from .losses import CompositeLoss, family_loss
 from .optim import bfgs
+from .quadrature import simpson_nodes, simpson_weights
 from .synth import PiecewisePairSpec, Rng, piecewise_beta
 
 CLAMP_BUDGET = 0.05
@@ -68,7 +69,6 @@ class RatioModel:
     train_risk: float = float("nan")
     status: str = ""
     iterations: int = 0
-    clamp_count: int = 0
 
     def scores(self, xs) -> np.ndarray:
         return gram(self.kernel, xs, self.centers) @ self.coeffs
@@ -80,15 +80,19 @@ def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray,
     """Penalized average risk and its gradient in the coefficients."""
     s = gram_matrix @ coeffs
     pos = labels > 0
-    n = labels.size
-    value = (float(np.sum(loss.ell_pos(s[pos]))) +
-             float(np.sum(loss.ell_neg(s[~pos])))) / n
-    value += alpha * float(coeffs @ s)
+    value = _data_risk(loss, s, pos) + alpha * float(coeffs @ s)
     v = np.empty_like(s)
     v[pos] = loss.ell_pos1(s[pos])
     v[~pos] = loss.ell_neg1(s[~pos])
-    grad = gram_matrix @ v / n + 2.0 * alpha * s
+    grad = gram_matrix @ v / labels.size + 2.0 * alpha * s
     return value, grad
+
+
+def _data_risk(loss: CompositeLoss, scores: np.ndarray,
+               pos: np.ndarray) -> float:
+    """Average partial loss of scores; pos marks the P points."""
+    return (float(np.sum(loss.ell_pos(scores[pos]))) +
+            float(np.sum(loss.ell_neg(scores[~pos])))) / pos.size
 
 
 def _clamped_fraction(loss: CompositeLoss, scores: np.ndarray) -> float:
@@ -132,12 +136,10 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
 def predict_ratio(model: RatioModel, xs) -> np.ndarray:
     """Ratio estimates g(f(x)), capped into [1e-12, 1e6].
 
-    Out-of-range raw values are counted on the model's clamp_count.
+    An entry equals a cap exactly when its raw value reached that cap.
     """
-    raw = model.loss.ratio_map.g(model.scores(xs))
-    clamped = (raw <= DOMAIN_EPS) | (raw >= RATIO_CAP)
-    model.clamp_count += int(np.sum(clamped))
-    return np.clip(raw, DOMAIN_EPS, RATIO_CAP)
+    return np.clip(model.loss.ratio_map.g(model.scores(xs)),
+                   DOMAIN_EPS, RATIO_CAP)
 
 
 def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
@@ -145,10 +147,15 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     """Direct linear-system solution of the kulsif objective.
 
     The first-order condition of the kulsif empirical risk is
-    (D_Q G + ridge I) c = 1_P with ridge = 2 alpha N, or a 1e-10
-    diagonal jitter when alpha is zero.  Its P rows read ridge c_P = 1,
-    so only the Q block is solved: (G_QQ + ridge I) c_Q = -G_QP c_P.
-    Matches the BFGS fit in predicted scores.
+    (D_Q G + ridge I) c = 1_P with ridge = 2 alpha N.  Its P rows read
+    ridge c_P = 1, so only the Q block is solved:
+    (G_QQ + ridge I) c_Q = -G_QP c_P.  Matches the BFGS fit in predicted
+    scores.
+
+    alpha = 0 is solved with ridge GRAM_JITTER (1e-10), which is then
+    part of the estimator: every P coefficient is exactly 1e10, and the
+    Q system can have condition number near 1e13, so its solution is
+    only backward-stable, not accurate to more than a few digits.
     """
     centers = samples.pooled
     labels = samples.labels
@@ -234,12 +241,8 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
                            xs_q=pooled[train[tr_labels < 0]])
             model = fit(tr, loss, kernel, alpha, max_iter=max_iter,
                         clamp_budget=None)
-            scores = model.scores(pooled[fold])
-            va_labels = labels[fold]
-            pos = va_labels > 0
-            risk = (float(np.sum(loss.ell_pos(scores[pos]))) +
-                    float(np.sum(loss.ell_neg(scores[~pos])))) / len(fold)
-            held_out.append(risk)
+            held_out.append(_data_risk(loss, model.scores(pooled[fold]),
+                                       labels[fold] > 0))
         table.append((float(alpha), float(np.mean(held_out))))
     chosen = _select_alpha([a for a, _ in table], [r for _, r in table])
     return chosen, table
@@ -288,13 +291,10 @@ def population_fit_parametric(gen: BregmanGenerator,
 
     pieces = []
     for i in range(len(q_levels)):
-        xs = np.linspace(edges[i], edges[i + 1], quad_nodes)
-        h = (edges[i + 1] - edges[i]) / (quad_nodes - 1)
-        w = np.ones(quad_nodes)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= h / 3.0
-        pieces.append((xs, w, p_levels[i] / q_levels[i], q_levels[i]))
+        lo, hi = edges[i], edges[i + 1]
+        pieces.append((simpson_nodes(lo, hi, quad_nodes),
+                       simpson_weights(lo, hi, quad_nodes),
+                       p_levels[i] / q_levels[i], q_levels[i]))
 
     def obj(z):
         t1, tau = z

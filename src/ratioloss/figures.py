@@ -11,26 +11,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dre import (PopulationFit, SampleSet, fit, kulsif_fit_closed_form,
+from .dre import (SampleSet, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
-from .generators import builtin_generator
+from .generators import builtin_generator, parse_family
 from .kernels import KernelSpec, median_heuristic
 from .losses import family_loss
 from .quadrature import simpson_nodes, simpson_weights
-from .synth import (PiecewisePairSpec, RegressionTask, Rng, default_pair,
-                    gaussian_pair, piecewise_beta, regression_task,
-                    target_function)
+from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
+                    piecewise_beta, regression_task, target_function)
 from .iw import WeightedRegressionTask, krr_predictor, weighted_krr
 
 FIGURE1_FAMILIES = ("lr", "kulsif", "poly1", "poly6", "ew")
-
-_FIG1_GENS = {
-    "lr": lambda: builtin_generator("lr"),
-    "kulsif": lambda: builtin_generator("kulsif"),
-    "poly1": lambda: builtin_generator("poly", k=1.0),
-    "poly6": lambda: builtin_generator("poly", k=6.0),
-    "ew": lambda: builtin_generator("ew"),
-}
 
 
 def figure1(spec: Optional[PiecewisePairSpec] = None, quad_nodes: int = 2001,
@@ -45,8 +36,9 @@ def figure1(spec: Optional[PiecewisePairSpec] = None, quad_nodes: int = 2001,
     fits = {}
     sups = {}
     for name in FIGURE1_FAMILIES:
-        pf = population_fit_parametric(_FIG1_GENS[name](), spec,
-                                       quad_nodes=quad_nodes, max_iter=max_iter)
+        pf = population_fit_parametric(builtin_generator(*parse_family(name)),
+                                       spec, quad_nodes=quad_nodes,
+                                       max_iter=max_iter)
         fits[name] = pf
         sups[name] = sup_error(pf.beta_hat, spec, *sup_interval)
     return {"fits": fits, "sup_errors": sups, "families": FIGURE1_FAMILIES}
@@ -144,7 +136,7 @@ def figure3(seed: int = 0, spec: Optional[PiecewisePairSpec] = None,
     task = regression_task(spec, n_src, n_tgt, noise_sigma, rng,
                            name=f"fig3/{seed}")
     pop = {
-        name: population_fit_parametric(_FIG1_GENS[name](), spec,
+        name: population_fit_parametric(builtin_generator(name), spec,
                                         quad_nodes=quad_nodes,
                                         max_iter=max_iter)
         for name in ("ew", "lr")

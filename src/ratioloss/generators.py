@@ -10,15 +10,16 @@ measure for density ratio estimation used throughout this package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import integrate, simpson_nodes, simpson_weights
+from .quadrature import integrate
 
 DOMAIN_EPS = 1e-12
 RATIO_CAP = 1e6
+FAMILY_NAMES = ("kulsif", "lr", "klest", "boost", "poly", "ew")
 
 ScalarMap = Callable[[np.ndarray], np.ndarray]
 
@@ -184,7 +185,16 @@ def builtin_generator(name: str, k: Optional[float] = None) -> BregmanGenerator:
     raise ValueError(f"unknown generator {name!r}")
 
 
-BUILTIN_NAMES = ("kulsif", "lr", "klest", "boost", "poly", "ew")
+def parse_family(label: str) -> tuple[str, Optional[float]]:
+    """Split a family label into (name, k): "poly6" gives ("poly", 6.0).
+
+    Only poly carries an exponent; every other family gives k None.
+    """
+    if label.startswith("poly"):
+        return "poly", float(label[4:])
+    if label not in FAMILY_NAMES:
+        raise ValueError(f"unknown family label {label!r}")
+    return label, None
 
 
 def bregman_term(gen: BregmanGenerator, r, rhat) -> np.ndarray:

@@ -15,14 +15,13 @@ ratio and beta_hat.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .generators import (DOMAIN_EPS, RATIO_CAP, BregmanGenerator,
-                         DiscretePair, builtin_generator, divergence_discrete)
-
-ScalarMap = Callable[[np.ndarray], np.ndarray]
+                         DiscretePair, ScalarMap, builtin_generator,
+                         divergence_discrete)
 
 
 class CertificationError(RuntimeError):
@@ -34,15 +33,15 @@ class RatioMap:
     """Strictly increasing map g from scores to ratio estimates.
 
     g_inv is the inverse, g_inv1/g_inv2 its first two derivatives.
-    canonical_for names the generator whose canonical link this map is
-    (g_inv == phi'), or None.
+    canonical_for is the (name, k) of the generator whose canonical link
+    this map is (g_inv == phi'), or None.
     """
 
     g: ScalarMap
     g_inv: ScalarMap
     g_inv1: ScalarMap
     g_inv2: ScalarMap
-    canonical_for: Optional[str] = None
+    canonical_for: Optional[tuple] = None
 
     def g1(self, y):
         """dg/dy via the inverse-function rule."""
@@ -115,9 +114,8 @@ def canonical_ratio_map(gen: BregmanGenerator) -> RatioMap:
     """The canonical link for gen: scores live on the range of phi',
     and g = (phi')^{-1}."""
     g = gen.inverse_phi1 if gen.inverse_phi1 is not None else _newton_inverse(gen)
-    name = gen.name if gen.k is None else f"{gen.name}:{gen.k}"
     return RatioMap(g=g, g_inv=gen.phi1, g_inv1=gen.phi2, g_inv2=gen.phi3,
-                    canonical_for=name)
+                    canonical_for=(gen.name, gen.k))
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,6 @@ class CompositeLoss:
     ell_pos2: ScalarMap
     ell_neg2: ScalarMap
     inv_link: ScalarMap
-    inv_link1: ScalarMap
     ratio_map: RatioMap
     generator: BregmanGenerator
     c1: float = 0.0
@@ -166,8 +163,7 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
     the linear form c1 + c2 - y, which is what gets implemented (it is
     also the analytic extension past the link's domain floor).
     """
-    canon_name = gen.name if gen.k is None else f"{gen.name}:{gen.k}"
-    canonical = rmap.canonical_for == canon_name
+    canonical = rmap.canonical_for == (gen.name, gen.k)
     g, phi, phi1, phi2, phi3 = rmap.g, gen.phi, gen.phi1, gen.phi2, gen.phi3
 
     if canonical:
@@ -199,20 +195,13 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
         b = g(y)
         return b / (1.0 + b)
 
-    def inv_link1(y):
-        b = g(y)
-        return rmap.g1(y) / (1.0 + b) ** 2
-
     return CompositeLoss(ell_pos=ell_pos, ell_neg=ell_neg,
                          ell_pos1=ell_pos1, ell_neg1=ell_neg1,
                          ell_pos2=ell_pos2, ell_neg2=ell_neg2,
-                         inv_link=inv_link, inv_link1=inv_link1,
+                         inv_link=inv_link,
                          ratio_map=rmap, generator=gen, c1=c1, c2=c2,
                          score_bounds=(float(score_bounds[0]),
                                        float(score_bounds[1])))
-
-
-FAMILY_NAMES = ("kulsif", "lr", "klest", "boost", "poly", "ew")
 
 
 def family_loss(name: str, k: float = 0.0, c1: float = 0.0,

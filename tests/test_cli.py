@@ -93,6 +93,26 @@ def test_fit_eval_roundtrip(tmp_path):
     assert ev["sup_abs_error"] >= 0.0
 
 
+def test_eval_counts_capped_predictions(tmp_path):
+    """eval.json's clamp_count is the number of capped beta_hat entries;
+    model.json carries no clamp count."""
+    fit_dir, ev_dir = tmp_path / "fit", tmp_path / "ev"
+    assert main(["fit", "--family", "ew", "--pair", "gaussian", "--n", "40",
+                 "--m", "40", "--seed", "4", "--alpha", "1e-3",
+                 "--out", str(fit_dir)]) == 0
+    assert "clamp_count" not in json.loads(
+        (fit_dir / "model.json").read_text())
+    assert main(["eval", "--model", str(fit_dir / "model.json"),
+                 "--pair", "gaussian", "--grid-lo", "-3", "--grid-hi", "3",
+                 "--out", str(ev_dir)]) == 0
+    beta_hat = np.loadtxt(ev_dir / "predictions.csv", delimiter=",",
+                          skiprows=1)[:, 1]
+    capped = int(np.sum((beta_hat == 1e-12) | (beta_hat == 1e6)))
+    assert capped > 0
+    assert json.loads((ev_dir / "eval.json").read_text())["clamp_count"] == (
+        capped)
+
+
 def test_fit_accepts_data_files(tmp_path):
     rng = np.random.default_rng(0)
     p_file, q_file = tmp_path / "p.csv", tmp_path / "q.csv"

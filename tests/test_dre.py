@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ratioloss import (FitError, KernelSpec, PiecewisePairSpec, RatioModel,
-                       Rng, SampleSet, builtin_generator,
+from ratioloss import (GRAM_JITTER, FitError, KernelSpec, PiecewisePairSpec,
+                       RatioModel, Rng, SampleSet, builtin_generator,
                        cross_validate_alpha, default_pair, empirical_risk,
                        family_loss, fit, grad_check, gram,
                        kulsif_fit_closed_form, median_heuristic,
@@ -73,6 +73,25 @@ def test_closed_form_kulsif_zeroes_the_risk_gradient():
     assert float(np.max(np.abs(grad))) < 1e-10
 
 
+def test_closed_form_kulsif_at_alpha_zero_uses_the_jitter_ridge():
+    # alpha 0 solves with ridge GRAM_JITTER: the P coefficients are exactly
+    # 1/GRAM_JITTER and the ill-conditioned Q block is solved only
+    # backward-stably, so the pin is its normwise residual
+    s = small_samples(n=100, m=100)
+    kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
+    model = kulsif_fit_closed_form(s, kernel, alpha=0.0)
+    assert model.status == "closed_form"
+    c_p, c_q = model.coeffs[:100], model.coeffs[100:]
+    assert np.all(c_p == 1.0 / GRAM_JITTER)
+    g = gram(kernel, s.pooled, s.pooled)
+    lhs = g[100:, 100:] + GRAM_JITTER * np.eye(100)
+    rhs = -g[100:, :100] @ c_p
+    assert np.linalg.cond(lhs) > 1e10
+    residual = np.linalg.norm(lhs @ c_q - rhs) / (
+        np.linalg.norm(lhs, 2) * np.linalg.norm(c_q) + np.linalg.norm(rhs))
+    assert residual < 1e-14
+
+
 @pytest.mark.parametrize("seed,n,alpha", [(2, 10, 1e-2), (0, 15, 1e-3),
                                           (1, 20, 1e-3)])
 def test_bfgs_fit_matches_closed_form(seed, n, alpha):
@@ -110,11 +129,12 @@ def test_predict_ratio_caps_and_counts():
                        alpha=0.0)
     out = predict_ratio(model, np.array([0.0]))
     assert float(out[0]) == 1e6
-    assert model.clamp_count == 1
+    assert np.array_equal(model.coeffs, [2e6])
     model.coeffs = np.array([-5.0])
     out = predict_ratio(model, np.array([0.0]))
     assert float(out[0]) == 1e-12
-    assert model.clamp_count == 2
+    assert np.array_equal(model.coeffs, [-5.0])
+    assert not hasattr(model, "clamp_count")
 
 
 def test_cross_validation_selects_from_the_table():

@@ -5,21 +5,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratioloss import (BUILTIN_NAMES, BregmanGenerator, DiscretePair,
+from ratioloss import (FAMILY_NAMES, BregmanGenerator, DiscretePair,
                        bregman_term, builtin_generator,
                        derivative_consistency, diamond_transform,
                        divergence_discrete, divergence_quadrature,
                        weight_representation)
+from ratioloss.checks import CHECK_FAMILIES
+from ratioloss.figures import FIGURE1_FAMILIES
+from ratioloss.generators import parse_family
 
 
 def all_generators():
     out = []
-    for name in BUILTIN_NAMES:
+    for name in FAMILY_NAMES:
         if name == "poly":
             out += [builtin_generator("poly", k=k) for k in (0.0, 1.0, 6.0)]
         else:
             out.append(builtin_generator(name))
     return out
+
+
+# (name, k) of each family label used by the identity suite and figure 1
+LABELS = {"kulsif": ("kulsif", None), "lr": ("lr", None),
+          "klest": ("klest", None), "boost": ("boost", None),
+          "poly0": ("poly", 0.0), "poly1": ("poly", 1.0),
+          "poly6": ("poly", 6.0), "ew": ("ew", None)}
+
+
+def test_family_labels_parse_to_name_and_exponent():
+    assert set(CHECK_FAMILIES) | set(FIGURE1_FAMILIES) == set(LABELS)
+    for label, expected in LABELS.items():
+        assert parse_family(label) == expected
+        gen = builtin_generator(*parse_family(label))
+        assert (gen.name, gen.k) == expected
+
+
+@pytest.mark.parametrize("label", ["", "logistic", "Poly6", "poly", "polyk"])
+def test_unknown_family_label_is_rejected(label):
+    with pytest.raises(ValueError):
+        parse_family(label)
 
 
 def gen_id(gen):

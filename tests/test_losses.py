@@ -13,6 +13,7 @@ from ratioloss import (RATIO_CAP, CertificationError, DiscretePair, RatioMap,
                        excess_risk_identity_check, exp_ratio_map, family_loss,
                        gamma_funcs, identity_ratio_map,
                        reid_convexity_margins, shuford_weight)
+from ratioloss.generators import parse_family
 
 FAMILIES = ["kulsif", "lr", "klest", "boost", "poly1", "poly6", "ew"]
 
@@ -29,10 +30,9 @@ SCORE_RANGES = {
 }
 
 
-def make_loss(name, c1=0.0, c2=0.0):
-    if name.startswith("poly"):
-        return family_loss("poly", k=float(name[4:]), c1=c1, c2=c2)
-    return family_loss(name, c1=c1, c2=c2)
+def make_loss(label, c1=0.0, c2=0.0):
+    name, k = parse_family(label)
+    return family_loss(name, k=k, c1=c1, c2=c2)
 
 
 def score_grid(name, n=23):
@@ -181,6 +181,20 @@ def test_non_canonical_construction():
     b = np.exp(y)
     assert np.allclose(loss.ell_neg(y), b * (b - 1.0) - 0.5 * (b - 1.0) ** 2,
                        atol=1e-12)
+
+
+def test_canonical_link_is_matched_on_the_exact_exponent():
+    # a poly k = 6 generator with the link of k = 6 + 1e-9 is not canonical:
+    # its positive loss keeps the composed slope instead of the exact -1
+    gen = builtin_generator("poly", k=6.0)
+    y = np.linspace(0.5, 18.0, 9)
+    canonical = construct_loss(gen, canonical_ratio_map(gen))
+    assert np.all(canonical.ell_pos1(y) == -1.0)
+    near = canonical_ratio_map(builtin_generator("poly", k=6.0 + 1e-9))
+    assert near.canonical_for != canonical.ratio_map.canonical_for
+    slope = construct_loss(gen, near).ell_pos1(y)
+    assert np.all(slope != -1.0)
+    assert np.max(np.abs(slope + 1.0)) < 1e-8
 
 
 def test_newton_fallback_inverts_canonical_link():
