@@ -304,7 +304,7 @@ def cmd_fit(o: dict) -> int:
     if alpha == "cv":
         alpha, cv_table = cross_validate_alpha(
             samples, loss, kernel, alphas=o["cv_alphas"], n_folds=o["folds"],
-            rng=rng, max_iter=o["max_iter"])
+            rng=rng, max_iter=o["max_iter"], grad_tol=o["grad_tol"])
     if o["solver"] == "closed-form":
         model = kulsif_fit_closed_form(samples, kernel, alpha)
     else:

@@ -78,14 +78,21 @@ def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray,
                    labels: np.ndarray, coeffs: np.ndarray,
                    alpha: float) -> tuple[float, np.ndarray]:
     """Penalized average risk and its gradient in the coefficients."""
-    s = gram_matrix @ coeffs
-    pos = labels > 0
-    value = _data_risk(loss, s, pos) + alpha * float(coeffs @ s)
-    v = np.empty_like(s)
-    v[pos] = loss.ell_pos1(s[pos])
-    v[~pos] = loss.ell_neg1(s[~pos])
-    grad = gram_matrix @ v / labels.size + 2.0 * alpha * s
-    return value, grad
+    value, u = _score_risk(loss, labels > 0, coeffs, gram_matrix @ coeffs,
+                           alpha)
+    return value, gram_matrix @ u
+
+
+def _score_risk(loss: CompositeLoss, pos: np.ndarray, coeffs: np.ndarray,
+                scores: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """Penalized risk at coefficients c with scores s = G c, and
+    u = v/N + 2 alpha c for v the partial-loss derivatives, so that the
+    gradient in c is G u."""
+    value = _data_risk(loss, scores, pos) + alpha * float(coeffs @ scores)
+    v = np.empty_like(scores)
+    v[pos] = loss.ell_pos1(scores[pos])
+    v[~pos] = loss.ell_neg1(scores[~pos])
+    return value, v / pos.size + 2.0 * alpha * coeffs
 
 
 def _data_risk(loss: CompositeLoss, scores: np.ndarray,
@@ -113,13 +120,17 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     centers = samples.pooled
-    labels = samples.labels
+    pos = samples.labels > 0
     g_matrix = gram(kernel, centers, centers)
 
-    def obj(c):
-        return empirical_risk(loss, g_matrix, labels, c, alpha)
+    def obj(point):
+        c, scores = point
+        return _score_risk(loss, pos, c, scores, alpha)
 
-    res = bfgs(obj, np.zeros(len(centers)), max_iter=max_iter, grad_tol=grad_tol)
+    # the risk is searched in score space: two Gram products per
+    # iteration, none per rejected trial
+    res = bfgs(obj, np.zeros(len(centers)), max_iter=max_iter,
+               grad_tol=grad_tol, linear=g_matrix)
     model = RatioModel(kernel=kernel, centers=centers, coeffs=res.x_star,
                        loss=loss, alpha=alpha, family=family, k=k,
                        train_risk=res.f_star, status=res.status,
@@ -172,7 +183,7 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     except np.linalg.LinAlgError as exc:
         raise FitError(f"kulsif linear system is singular: {exc}") from exc
     loss = family_loss("kulsif")
-    value, _ = empirical_risk(loss, g_matrix, labels, coeffs, alpha)
+    value, _ = _score_risk(loss, labels > 0, coeffs, g_matrix @ coeffs, alpha)
     return RatioModel(kernel=kernel, centers=centers, coeffs=coeffs,
                       loss=loss, alpha=alpha, family="kulsif",
                       train_risk=value, status="closed_form")
@@ -193,31 +204,28 @@ def _select_alpha(alphas: Sequence[float], risks: Sequence[float]) -> float:
 def _stratified_folds(n_p: int, n_q: int, n_folds: int, rng: Rng):
     """Index folds over the pooled set, stratified by class.
 
-    Retries the shuffle up to 10 times if any fold ends up single-class
-    (only possible when a class has fewer members than folds).
+    Fold i holds every n_folds-th point of each shuffled class from
+    offset i, so every fold has both classes exactly when n_folds does
+    not exceed either class size.
     """
+    if n_folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds}")
+    if n_folds > min(n_p, n_q):
+        raise ValueError(
+            f"cannot build {n_folds} two-class folds from {n_p} P and {n_q} Q points")
     stream = rng.stream(f"cv-folds/{n_p}/{n_q}/{n_folds}")
-    for _ in range(10):
-        perm_p = stream.permutation(n_p)
-        perm_q = n_p + stream.permutation(n_q)
-        folds = []
-        ok = True
-        for i in range(n_folds):
-            fold = np.concatenate([perm_p[i::n_folds], perm_q[i::n_folds]])
-            if len(perm_p[i::n_folds]) == 0 or len(perm_q[i::n_folds]) == 0:
-                ok = False
-            folds.append(np.sort(fold))
-        if ok:
-            return folds
-    raise ValueError(
-        f"cannot build {n_folds} two-class folds from {n_p} P and {n_q} Q points")
+    perm_p = stream.permutation(n_p)
+    perm_q = n_p + stream.permutation(n_q)
+    return [np.sort(np.concatenate([perm_p[i::n_folds], perm_q[i::n_folds]]))
+            for i in range(n_folds)]
 
 
 def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
                          kernel: KernelSpec,
                          alphas: Sequence[float] = (10.0, 0.1, 1e-3),
                          n_folds: int = 5, rng: Optional[Rng] = None,
-                         max_iter: int = 100) -> tuple[float, list]:
+                         max_iter: int = 100,
+                         grad_tol: float = 1e-8) -> tuple[float, list]:
     """K-fold selection of alpha by held-out unpenalized risk.
 
     Folds are stratified by class; ties go to the smaller alpha.
@@ -240,7 +248,7 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
             tr = SampleSet(xs_p=pooled[train[tr_labels > 0]],
                            xs_q=pooled[train[tr_labels < 0]])
             model = fit(tr, loss, kernel, alpha, max_iter=max_iter,
-                        clamp_budget=None)
+                        grad_tol=grad_tol, clamp_budget=None)
             held_out.append(_data_risk(loss, model.scores(pooled[fold]),
                                        labels[fold] > 0))
         table.append((float(alpha), float(np.mean(held_out))))

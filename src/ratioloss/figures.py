@@ -14,7 +14,7 @@ import numpy as np
 from .dre import (SampleSet, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
 from .generators import builtin_generator, parse_family
-from .kernels import KernelSpec, median_heuristic
+from .kernels import KernelSpec, gram, median_heuristic
 from .losses import family_loss
 from .quadrature import simpson_nodes, simpson_weights
 from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
@@ -105,21 +105,6 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
     return {"cells": cells, "grid": grid, "exact_beta": exact_beta(grid)}
 
 
-def _l2_sq_piecewise(f_vals_fn, spec: PiecewisePairSpec, which: str,
-                     n_nodes: int = 10001) -> float:
-    """Squared L^2(mu) distance of a predictor from the target function,
-    integrated piece by piece against the piecewise density mu."""
-    levels = {"p": spec.p_levels, "q": spec.q_levels}[which]
-    edges = spec.edges
-    total = 0.0
-    for i, level in enumerate(levels):
-        xs = simpson_nodes(edges[i], edges[i + 1], n_nodes)
-        w = simpson_weights(edges[i], edges[i + 1], n_nodes)
-        resid = np.asarray(f_vals_fn(xs), dtype=float) - target_function(xs)
-        total += level * float(w @ resid ** 2)
-    return total
-
-
 def figure3(seed: int = 0, spec: Optional[PiecewisePairSpec] = None,
             n_src: int = 200, n_tgt: int = 200, noise_sigma: float = 0.1,
             degree: int = 5, alpha: float = 1e-32, quad_nodes: int = 2001,
@@ -149,14 +134,28 @@ def figure3(seed: int = 0, spec: Optional[PiecewisePairSpec] = None,
         "lr": np.maximum(pop["lr"].beta_hat(src), 0.0),
     }
     kernel = KernelSpec(kind="polynomial", degree=degree)
+    coeffs = {}
     predictors = {}
-    l2p_sq = {}
-    l2q_sq = {}
     for name, w in weightings.items():
         wtask = WeightedRegressionTask(xs=src, ys=task.src_ys, weights=w,
                                        kernel=kernel, alpha=alpha)
-        predictors[name] = krr_predictor(wtask, weighted_krr(wtask))
-        l2p_sq[name] = _l2_sq_piecewise(predictors[name], spec, "p", l2_nodes)
-        l2q_sq[name] = _l2_sq_piecewise(predictors[name], spec, "q", l2_nodes)
+        coeffs[name] = weighted_krr(wtask)
+        predictors[name] = krr_predictor(wtask, coeffs[name])
+    # squared L^2(mu) distances of the predictors from the target, piece
+    # by piece against the piecewise densities; every predictor and both
+    # measures share one Gram on each piece's Simpson nodes
+    l2p_sq = dict.fromkeys(weightings, 0.0)
+    l2q_sq = dict.fromkeys(weightings, 0.0)
+    edges = spec.edges
+    for i, (p_level, q_level) in enumerate(zip(spec.p_levels, spec.q_levels)):
+        xs = simpson_nodes(edges[i], edges[i + 1], l2_nodes)
+        w = simpson_weights(edges[i], edges[i + 1], l2_nodes)
+        target = target_function(xs)
+        k_nodes = gram(kernel, xs, src)
+        for name in weightings:
+            sq = float(w @ (k_nodes @ coeffs[name] - target) ** 2)
+            l2p_sq[name] += p_level * sq
+            l2q_sq[name] += q_level * sq
+        del k_nodes  # free before the next piece's Gram is formed
     return {"task": task, "population_fits": pop, "weightings": weightings,
             "predictors": predictors, "l2p_sq": l2p_sq, "l2q_sq": l2q_sq}

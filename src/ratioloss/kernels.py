@@ -77,7 +77,10 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
         for _, rows in _sq_dist_rows(k, x, y):
             np.exp(np.divide(rows, scale, out=rows), out=rows)
         return k
-    return (spec.offset + x @ y.T) ** int(spec.degree)
+    # in place, so the product is the only n x m array
+    k = x @ y.T
+    k += spec.offset
+    return np.power(k, int(spec.degree), out=k)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:

@@ -5,6 +5,15 @@ search is Armijo backtracking from unit step; non-finite trial values
 are rejected like insufficient-decrease steps, so objectives may return
 inf outside their effective domain.
 
+Objectives of the form f(x) = F(x, A x) with a symmetric matrix A, such
+as a kernel risk whose scores are G c, search in score space: bfgs
+carries z = A x, forms A p once per search direction and evaluates each
+trial at (x + t p, z + t A p) in O(n).  The gradient A u is formed only
+for an accepted trial, or for a trial that needs the plateau test.  A
+run therefore costs two products with A at the start and about two per
+iteration (one more for a scaled-gradient retry), however many trials
+are rejected.
+
 The BFGS update (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 eq. 6.17) is the symmetric rank-2 step H -= s w' + w s', so the inverse
 Hessian is kept in the compact form of Byrd, Nocedal & Schnabel (Math.
@@ -36,7 +45,8 @@ CURVATURE_FLOOR = 1e-10
 WOLFE_SIGMA = 0.9
 PLATEAU_SLACK = 1e-12
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# x -> (value, gradient), or (x, A x) -> (value, u) with gradient A u
+Objective = Callable[..., tuple[float, np.ndarray]]
 
 
 @dataclass
@@ -49,39 +59,54 @@ class OptimResult:
 
 
 def _backtrack(obj: Objective, x: np.ndarray, f: float, p: np.ndarray,
-               dd: float):
+               dd: float, linear=None, z=None, ap=None):
     """Armijo backtracking from unit step.
 
-    Returns (x_new, f_new, g_new) for the first sufficient-decrease step,
-    or None when none exists.  A candidate whose displacement rounds to
+    Returns (point, f_new, g_new) for the first sufficient-decrease step,
+    or None when none exists; point is x_new, or (x_new, z_new) when a
+    linear map is given.  A candidate whose displacement rounds to
     zero ends the search at once: every shorter step rounds to zero too,
     and accepting it would repeat the same point forever.  Once the
     Armijo threshold rounds back to f itself, the value has run out of
     resolution and cannot referee; acceptance then falls back to the
     weak curvature condition g_new'p >= sigma dd, guarded by a bound on
     how far above f the candidate may sit (float noise, not a real rise).
+
+    With linear = A, the trial at step t is (x + t p, z + t A p) for
+    z = A x and ap = A p, and the gradient A u is formed only for a
+    trial that passes Armijo or needs the curvature test.
     """
     step = 1.0
     for _ in range(MAX_HALVINGS):
         x_new = x + step * p
         if np.array_equal(x_new, x):
             return None
+        point = x_new if linear is None else (x_new, z + step * ap)
         # probes may leave the effective domain; non-finite values are
         # rejected below, so their overflow warnings carry no signal
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f_new, g_new = obj(x_new)
+            f_new, out = obj(point)
         f_new = float(f_new)
         if np.isfinite(f_new):
             threshold = f + ARMIJO_C * step * dd
             if f_new <= threshold:
-                return x_new, f_new, g_new
+                return point, f_new, _gradient(out, linear)
             if (threshold == f
                     and f_new <= f + PLATEAU_SLACK * max(1.0, abs(f))):
-                gn = np.asarray(g_new, dtype=float)
+                gn = _gradient(out, linear)
                 if np.all(np.isfinite(gn)) and float(gn @ p) >= WOLFE_SIGMA * dd:
-                    return x_new, f_new, gn
+                    return point, f_new, gn
         step *= ARMIJO_SHRINK
     return None
+
+
+def _gradient(out, linear) -> np.ndarray:
+    """The gradient from an objective's second output: the output
+    itself, or A u for the output u of an objective over (x, A x)."""
+    if linear is None:
+        return np.asarray(out, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return linear @ out
 
 
 class _InverseHessian:
@@ -119,9 +144,15 @@ def _reset(hinv: _InverseHessian) -> None:
     hinv.d = None
 
 
-def bfgs(obj: Objective, x0, max_iter: int = 100,
-         grad_tol: float = 1e-8) -> OptimResult:
+def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
+         linear=None) -> OptimResult:
     """Minimize obj from x0.
+
+    Without linear, obj maps x to (value, gradient).  With linear = A,
+    a symmetric matrix, the objective is f(x) = F(x, A x): obj maps the
+    pair (x, z) with z = A x to (F, u), and the gradient of f is A u.
+    The scores z are carried along each search line rather than
+    recomputed, so rounding can make them drift from A x.
 
     Stops when the gradient infinity norm drops below grad_tol
     ("converged"), after max_iter accepted steps ("max_iter"), or when
@@ -133,12 +164,17 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
     x = np.array(x0, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError("x0 must be a 1-d vector")
+    z = None if linear is None else linear @ x
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, g = obj(x)
+        f, out = obj(x if linear is None else (x, z))
     f = float(f)
-    g = np.asarray(g, dtype=float)
+    g = _gradient(out, linear)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise ValueError("objective is not finite at the starting point")
+
+    def search(p, dd):
+        ap = None if linear is None else linear @ p
+        return _backtrack(obj, x, f, p, dd, linear, z, ap)
 
     n = x.size
     # every update is one accepted step, so at most max_iter are held
@@ -164,7 +200,7 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
             dd = -float(g @ g)
             restarted = True
 
-        trial = _backtrack(obj, x, f, p, dd)
+        trial = search(p, dd)
         if trial is None and (not restarted or gnorm > 1.0):
             # a badly scaled direction can fail at every representable
             # step even though descent is still possible; retry once
@@ -174,13 +210,13 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
             hg = g
             p = -g / max(1.0, gnorm)
             dd = float(p @ g)
-            trial = _backtrack(obj, x, f, p, dd)
+            trial = search(p, dd)
         if trial is None:
             status = "line_search_failed"
             break
-        x_new, f_new, g_new = trial
+        point, f_new, g_new = trial
+        x_new, z_new = (point, None) if linear is None else point
 
-        g_new = np.asarray(g_new, dtype=float)
         if not np.all(np.isfinite(g_new)):
             raise RuntimeError(
                 f"non-finite gradient at accepted iterate {x_new!r}")
@@ -197,7 +233,7 @@ def bfgs(obj: Objective, x0, max_iter: int = 100,
             w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
             hinv.update(s, w)
             hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
-        x, f, g, hg = x_new, f_new, g_new, hg_new
+        x, z, f, g, hg = x_new, z_new, f_new, g_new, hg_new
         iterations += 1
     else:
         # loop exhausted; check convergence one last time

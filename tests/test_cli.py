@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratioloss import cli
+from ratioloss import cli, dre, optim
 from ratioloss.cli import main
 
 
@@ -139,6 +139,29 @@ def test_fit_with_cross_validated_alpha(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["alpha"] in (10.0, 0.001)
     assert len(metrics["cv_table"]) == 2
+
+
+def test_cross_validation_uses_the_gradient_tolerance(tmp_path, monkeypatch):
+    # 3 alphas x 5 folds, then the final fit: every solve gets --grad-tol
+    tols = []
+
+    def spying_bfgs(obj, x0, **kwargs):
+        tols.append(kwargs["grad_tol"])
+        return optim.bfgs(obj, x0, **kwargs)
+
+    monkeypatch.setattr(dre, "bfgs", spying_bfgs)
+    assert main(["fit", "--family", "lr", "--alpha", "cv", "--grad-tol",
+                 "1e-3", "--n", "10", "--m", "10",
+                 "--out", str(tmp_path / "cv")]) == 0
+    assert tols == [1e-3] * 16
+
+
+@pytest.mark.parametrize("folds", ["0", "1"])
+def test_fewer_than_two_folds_is_a_usage_error(tmp_path, capsys, folds):
+    assert main(["fit", "--family", "lr", "--alpha", "cv", "--folds", folds,
+                 "--n", "10", "--m", "10", "--out", str(tmp_path / "cv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cross-validation needs at least 2 folds, got {folds}\n")
 
 
 def test_unconverged_fit_warns_and_exits_zero(tmp_path, capsys):

@@ -3,9 +3,9 @@ error integrals they report."""
 import numpy as np
 import pytest
 
-from ratioloss import figure1, figure2, figure3, target_function
-from ratioloss.figures import FIGURE1_FAMILIES, _l2_sq_piecewise
-from ratioloss.synth import default_pair, gaussian_pair
+from ratioloss import figure1, figure2, figure3, figures
+from ratioloss.figures import FIGURE1_FAMILIES
+from ratioloss.synth import gaussian_pair
 
 
 def test_figure1_reduced():
@@ -61,11 +61,16 @@ def test_figure3_reduced():
         assert np.all(np.isfinite(res["predictors"][key](grid)))
 
 
-def test_l2_integral_of_constant_offset():
-    # density integrates to one, so a unit offset has squared error one
-    spec = default_pair()
-    off = lambda xs: target_function(xs) + 1.0
-    assert _l2_sq_piecewise(off, spec, "p", n_nodes=501) == pytest.approx(
-        1.0, abs=1e-12)
-    assert _l2_sq_piecewise(target_function, spec, "q",
-                            n_nodes=501) == pytest.approx(0.0, abs=1e-15)
+def test_l2_integral_of_constant_offset(monkeypatch):
+    # each density integrates to one, so a target one below the "exact"
+    # predictor gives it squared error one under P and Q, and a target
+    # equal to it gives zero
+    kw = dict(seed=0, n_src=60, n_tgt=60, quad_nodes=201, max_iter=150,
+              l2_nodes=501)
+    predict = figure3(**kw)["predictors"]["exact"]
+    for offset, expected, tol in ((1.0, 1.0, 1e-12), (0.0, 0.0, 1e-15)):
+        monkeypatch.setattr(figures, "target_function",
+                            lambda xs, o=offset: predict(xs) + o)
+        res = figure3(**kw)
+        assert res["l2p_sq"]["exact"] == pytest.approx(expected, abs=tol)
+        assert res["l2q_sq"]["exact"] == pytest.approx(expected, abs=tol)

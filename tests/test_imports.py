@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and
+every private module-level name is used somewhere in the library."""
 from __future__ import annotations
 
 import ast
@@ -35,3 +36,56 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(source: str) -> list:
+    """Module-level private functions, classes and constants."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if _private(name)]
+
+
+def referenced_names(sources) -> set:
+    """Names loaded, imported or read as attributes anywhere in sources."""
+    refs = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def dead_private_names(sources: dict) -> list:
+    """(file, name) for each private module-level definition that no
+    library source refers to."""
+    refs = referenced_names(sources.values())
+    return sorted((path, name) for path, source in sources.items()
+                  for name in private_definitions(source) if name not in refs)
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {"a.py": ("_LIMIT = 3\n_UNUSED: int = 4\n"
+                        "def _helper(x):\n    return x < _LIMIT\n"
+                        "def _dead():\n    pass\nclass _Gone:\n    pass\n"),
+               "b.py": "from .a import _helper\nprint(_helper(1))\n"}
+    assert dead_private_names(sources) == [
+        ("a.py", "_Gone"), ("a.py", "_UNUSED"), ("a.py", "_dead")]
+
+
+def test_library_has_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []

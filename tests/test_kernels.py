@@ -112,6 +112,19 @@ def test_row_blocks_match_dense_formulas_bit_for_bit(n, d):
     assert np.array_equal(gram(spec, y, x), dense_gaussian_gram(sigma, y, x))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+def test_polynomial_gram_matches_dense_formula_bit_for_bit(degree, d):
+    # the Gram is formed in place; it must round exactly as the
+    # whole-matrix formula
+    rng = np.random.default_rng(10 * degree + d)
+    x = rng.standard_normal((101, d)) * 3.0
+    y = rng.standard_normal((37, d))
+    for offset in (1.0, 0.0, 2.5):
+        spec = KernelSpec(kind="polynomial", degree=degree, offset=offset)
+        assert np.array_equal(gram(spec, x, y), (offset + x @ y.T) ** degree)
+
+
 def _peak_bytes(f):
     tracemalloc.start()
     try:

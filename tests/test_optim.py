@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ratioloss import (KernelSpec, Rng, SampleSet, bfgs, default_pair,
-                       empirical_risk, family_loss, grad_check, gram,
+from ratioloss import (KernelSpec, Rng, SampleSet, bfgs, default_pair, dre,
+                       empirical_risk, family_loss, fit, grad_check, gram,
                        median_heuristic, optim, sample_piecewise)
 from ratioloss.optim import CURVATURE_FLOOR, OptimResult, _backtrack
 
@@ -301,3 +301,120 @@ def test_large_problem_holds_no_dense_inverse_hessian():
     assert res.status == "converged"
     assert np.allclose(res.x_star, b / a, atol=1e-7)
     assert peak < 0.25 * n * n * 8
+
+
+class _CountingGram(np.ndarray):
+    """A Gram matrix that counts its matrix-vector products."""
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        self.products[0] += 1
+        return other @ np.asarray(self)
+
+
+def _ew_samples(n=30, seed=0):
+    spec = default_pair()
+    rng = Rng(seed)
+    s = SampleSet(xs_p=sample_piecewise(spec, "p", n, rng, name="t/p"),
+                  xs_q=sample_piecewise(spec, "q", n, rng, name="t/q"))
+    return s, KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
+
+
+def test_kernel_fit_takes_two_gram_products_per_iteration(monkeypatch):
+    # rejected backtracking trials cost no product with G: the scores move
+    # as s + t G p along the line, and G u is formed for accepted trials
+    products = [0]
+    calls = []
+
+    def counting_gram(*args):
+        g = gram(*args).view(_CountingGram)
+        g.products = products
+        return g
+
+    def counting_bfgs(obj, *args, **kwargs):
+        def counted(point):
+            calls.append(None)
+            return obj(point)
+        return optim.bfgs(counted, *args, **kwargs)
+
+    monkeypatch.setattr(dre, "gram", counting_gram)
+    monkeypatch.setattr(dre, "bfgs", counting_bfgs)
+    s, kernel = _ew_samples()
+    model = fit(s, family_loss("ew"), kernel, 1e-2, max_iter=300)
+    assert model.status == "converged"
+    assert len(calls) > model.iterations + 1  # some trials were rejected
+    assert products[0] <= 2 * model.iterations + 3
+
+
+@pytest.mark.parametrize("family,alpha", [("ew", 1e-2), ("kulsif", 1e-3)])
+def test_score_space_fit_matches_dense_reference(family, alpha):
+    # fit carries the scores along each line; reference_bfgs recomputes
+    # G c and G v at every trial of the same line search
+    s, kernel = _ew_samples()
+    loss = family_loss(family)
+    g = gram(kernel, s.pooled, s.pooled)
+    ref = reference_bfgs(
+        lambda c: empirical_risk(loss, g, s.labels, c, alpha),
+        np.zeros(60), max_iter=300)
+    model = fit(s, loss, kernel, alpha, max_iter=300, clamp_budget=None)
+    assert model.status == ref.status == "converged"
+    assert model.train_risk == pytest.approx(ref.f_star, rel=1e-12)
+
+
+def test_carried_scores_stay_on_the_gram_image(monkeypatch):
+    # ew at alpha 1e-6 takes about 600 iterations; the scores carried
+    # through every accepted step still equal G c to rounding
+    points = []
+
+    def recording_bfgs(obj, *args, **kwargs):
+        def recorded(point):
+            points.append(point)
+            return obj(point)
+        return optim.bfgs(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(dre, "bfgs", recording_bfgs)
+    s, kernel = _ew_samples()
+    model = fit(s, family_loss("ew"), kernel, 1e-6, max_iter=1000)
+    assert model.iterations >= 200
+    c, scores = points[-1]
+    assert c is model.coeffs
+    fresh = gram(kernel, s.pooled, s.pooled) @ c
+    assert np.linalg.norm(scores - fresh) < 1e-12 * np.linalg.norm(fresh)
+
+
+def test_fit_is_unchanged_by_an_objective_wrapper(monkeypatch):
+    # a benchmark tracer hands bfgs a one-argument closure with no
+    # attributes; the fit must not depend on what the objective is
+    s, kernel = _ew_samples()
+    plain = fit(s, family_loss("lr"), kernel, 1e-3)
+    monkeypatch.setattr(dre, "bfgs", lambda obj, *args, **kwargs: optim.bfgs(
+        lambda x: obj(x), *args, **kwargs))
+    wrapped = fit(s, family_loss("lr"), kernel, 1e-3)
+    assert wrapped.coeffs.tobytes() == plain.coeffs.tobytes()
+    assert (wrapped.train_risk, wrapped.iterations) == (
+        plain.train_risk, plain.iterations)
+
+
+def test_linear_objective_matches_the_plain_protocol():
+    # f(x) = F(x, A x) with F(x, z) = 0.5 x'z - b'z and A symmetric
+    # positive definite: the gradient A x - A b is A u for u = x - b
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((8, 8))
+    a = m.T @ m + np.eye(8)
+    b = rng.standard_normal(8)
+
+    def plain(x):
+        return 0.5 * float(x @ (a @ x)) - float(b @ (a @ x)), a @ (x - b)
+
+    def linear(point):
+        x, z = point
+        return 0.5 * float(x @ z) - float(b @ z), x - b
+
+    ref = bfgs(plain, np.zeros(8), max_iter=200, grad_tol=1e-10)
+    res = bfgs(linear, np.zeros(8), max_iter=200, grad_tol=1e-10, linear=a)
+    assert res.status == ref.status == "converged"
+    assert res.iterations == ref.iterations
+    assert np.allclose(res.x_star, b, atol=1e-8)
