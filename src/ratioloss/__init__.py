@@ -12,8 +12,8 @@ from .losses import (CertificationError, CompositeLoss, RatioMap, bayes_risk,
                      exp_ratio_map, family_loss, gamma_funcs,
                      identity_ratio_map, reid_convexity_margins,
                      shuford_weight)
-from .kernels import (GRAM_JITTER, KernelSpec, as_points, gram, kernel_eval,
-                      median_heuristic)
+from .kernels import (GRAM_JITTER, MEDIAN, KernelSpec, as_points, gram,
+                      kernel_eval, median_gram, median_heuristic)
 from .optim import bfgs, grad_check
 from .quadrature import integrate, simpson_nodes, simpson_weights
 from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
@@ -34,8 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BregmanGenerator", "CHECK_GROUPS", "CLAMP_BUDGET", "CandidateSet",
     "CertificationError", "CompositeLoss", "DiscretePair", "FAMILY_NAMES",
-    "FitError", "GRAM_JITTER", "KernelSpec", "PiecewisePairSpec", "RATIO_CAP",
-    "RatioMap", "RatioModel", "Rng", "SampleSet", "WeightedRegressionTask",
+    "FitError", "GRAM_JITTER", "KernelSpec", "MEDIAN", "PiecewisePairSpec",
+    "RATIO_CAP", "RatioMap", "RatioModel", "Rng", "SampleSet",
+    "WeightedRegressionTask",
     "aggregate_predictor", "as_points", "bayes_risk", "bfgs", "bregman_term",
     "builtin_generator", "canonical_ratio_map", "conditional_risk",
     "construct_loss", "convexity_margin", "cross_validate_alpha",
@@ -45,7 +46,7 @@ __all__ = [
     "figure2", "figure3", "fit", "gamma_funcs", "gaussian_pair", "grad_check",
     "gram", "identity_ratio_map", "integrate", "iwa_aggregate", "iwv_select",
     "kernel_eval", "krr_predictor", "kulsif_fit_closed_form",
-    "median_heuristic", "piecewise_beta",
+    "median_gram", "median_heuristic", "piecewise_beta",
     "population_fit_parametric", "predict_ratio", "properness_residuals",
     "regression_task", "reid_convexity_margins", "run_all",
     "sample_piecewise", "shuford_weight", "simpson_nodes", "simpson_weights",

@@ -23,7 +23,7 @@ from .dre import (FitError, RatioModel, SampleSet, cross_validate_alpha, fit,
                   kulsif_fit_closed_form, predict_ratio)
 from .figures import FIGURE1_FAMILIES, figure1, figure2, figure3
 from .generators import DOMAIN_EPS, FAMILY_NAMES, RATIO_CAP
-from .kernels import KernelSpec, median_heuristic
+from .kernels import MEDIAN, KernelSpec
 from .losses import convexity_margin, family_loss
 from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
                     sample_piecewise, target_function)
@@ -283,10 +283,10 @@ def _fit_samples(o: dict, rng: Rng) -> SampleSet:
                      xs_q=sampler("q", o["m"], rng, name="cli/fit"))
 
 
-def _make_kernel(o: dict, pooled: np.ndarray) -> KernelSpec:
+def _make_kernel(o: dict) -> KernelSpec:
     if o["kernel"] == "gaussian":
-        sigma = o["sigma"] if o["sigma"] is not None else median_heuristic(pooled)
-        return KernelSpec(kind="gaussian", sigma=float(sigma))
+        sigma = MEDIAN if o["sigma"] is None else o["sigma"]
+        return KernelSpec(kind="gaussian", sigma=sigma)
     return KernelSpec(kind="polynomial", degree=o["degree"], offset=o["offset"])
 
 
@@ -294,7 +294,7 @@ def cmd_fit(o: dict) -> int:
     out = _ensure_out(o["out"])
     rng = Rng(o["seed"])
     samples = _fit_samples(o, rng)
-    kernel = _make_kernel(o, samples.pooled)
+    kernel = _make_kernel(o)
     loss = family_loss(o["family"], k=o["k"])
     if o["solver"] == "closed-form" and o["family"] != "kulsif":
         raise ValueError("closed-form solver is only defined for kulsif")
@@ -314,6 +314,7 @@ def cmd_fit(o: dict) -> int:
             print(f"warning: fit ended {model.status} after "
                   f"{model.iterations} iterations", file=sys.stderr)
 
+    kernel = model.kernel  # a median sigma is resolved by the fit
     _write_json(os.path.join(out, "model.json"), {
         "family": o["family"], "k": o["k"], "alpha": alpha,
         "kernel": {"kind": kernel.kind, "sigma": kernel.sigma,
@@ -322,9 +323,9 @@ def cmd_fit(o: dict) -> int:
     })
     _write_json(os.path.join(out, "metrics.json"), {
         "train_risk": model.train_risk, "status": model.status,
-        "iterations": model.iterations, "n": len(samples.xs_p),
-        "m": len(samples.xs_q), "seed": o["seed"], "alpha": alpha,
-        "cv_table": cv_table,
+        "iterations": model.iterations, "grad_norm": model.grad_norm,
+        "n": len(samples.xs_p), "m": len(samples.xs_q), "seed": o["seed"],
+        "alpha": alpha, "cv_table": cv_table,
     })
     return 0
 

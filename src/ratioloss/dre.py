@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .generators import DOMAIN_EPS, RATIO_CAP, BregmanGenerator, bregman_term
-from .kernels import GRAM_JITTER, KernelSpec, as_points, gram
+from .kernels import (GRAM_JITTER, KernelSpec, as_points, gram, median_gram,
+                      median_heuristic)
 from .losses import CompositeLoss, family_loss
 from .optim import bfgs
 from .quadrature import simpson_nodes, simpson_weights
@@ -69,6 +70,7 @@ class RatioModel:
     train_risk: float = float("nan")
     status: str = ""
     iterations: int = 0
+    grad_norm: Optional[float] = None  # final |g|_inf of an iterative fit
 
     def scores(self, xs) -> np.ndarray:
         return gram(self.kernel, xs, self.centers) @ self.coeffs
@@ -102,6 +104,16 @@ def _data_risk(loss: CompositeLoss, scores: np.ndarray,
             float(np.sum(loss.ell_neg(scores[~pos])))) / pos.size
 
 
+def _training_gram(kernel: KernelSpec,
+                   centers: np.ndarray) -> tuple[KernelSpec, np.ndarray]:
+    """The kernel with a median sigma resolved on centers, and its Gram
+    on centers; a median sigma and its Gram share one distance pass."""
+    if not kernel.median_sigma:
+        return kernel, gram(kernel, centers, centers)
+    sigma, g_matrix = median_gram(centers)
+    return KernelSpec(kind="gaussian", sigma=sigma), g_matrix
+
+
 def _clamped_fraction(loss: CompositeLoss, scores: np.ndarray) -> float:
     lo, hi = loss.score_bounds
     return float(np.mean((scores <= lo) | (scores >= hi)))
@@ -113,15 +125,17 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
         family: str = "", k: float = 0.0) -> RatioModel:
     """Fit a kernel ratio model by BFGS from the zero coefficient vector.
 
-    Fails loudly when more than clamp_budget of the fitted training
-    scores fall outside the ratio map's usable range, which signals a
-    diverged or degenerate fit rather than a usable estimator.
+    A gaussian kernel with sigma MEDIAN gets the median heuristic over
+    the pooled points; the model holds the numeric sigma.  Fails loudly
+    when more than clamp_budget of the fitted training scores fall
+    outside the ratio map's usable range, which signals a diverged or
+    degenerate fit rather than a usable estimator.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     centers = samples.pooled
     pos = samples.labels > 0
-    g_matrix = gram(kernel, centers, centers)
+    kernel, g_matrix = _training_gram(kernel, centers)
 
     def obj(point):
         c, scores = point
@@ -134,7 +148,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     model = RatioModel(kernel=kernel, centers=centers, coeffs=res.x_star,
                        loss=loss, alpha=alpha, family=family, k=k,
                        train_risk=res.f_star, status=res.status,
-                       iterations=res.iterations)
+                       iterations=res.iterations, grad_norm=res.grad_norm)
     if clamp_budget is not None:
         frac = _clamped_fraction(loss, g_matrix @ res.x_star)
         if frac > clamp_budget:
@@ -167,12 +181,13 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     part of the estimator: every P coefficient is exactly 1e10, and the
     Q system can have condition number near 1e13, so its solution is
     only backward-stable, not accurate to more than a few digits.
+    A median sigma is resolved as in fit.
     """
     centers = samples.pooled
     labels = samples.labels
     n = labels.size
     n_p = len(samples.xs_p)  # pooled points are P first, then Q
-    g_matrix = gram(kernel, centers, centers)
+    kernel, g_matrix = _training_gram(kernel, centers)
     ridge = 2.0 * alpha * n if alpha > 0 else GRAM_JITTER
     coeffs = np.empty(n)
     coeffs[:n_p] = 1.0 / ridge
@@ -230,10 +245,16 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
 
     Folds are stratified by class; ties go to the smaller alpha.
     Alphas whose held-out risk is non-finite stay in the table but are
-    never chosen.  Returns (chosen alpha, [(alpha, mean held-out risk), ...]).
+    never chosen.  A median sigma is resolved once on the pooled sample,
+    so every fold fit uses the sigma of the final fit.  Returns
+    (chosen alpha, [(alpha, mean held-out risk), ...]).
     """
+    if len(alphas) == 0:
+        raise ValueError("cross-validation needs a nonempty alpha grid")
     rng = rng or Rng(0)
     pooled = samples.pooled
+    if kernel.median_sigma:
+        kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(pooled))
     labels = samples.labels
     n_p = len(samples.xs_p)
     folds = _stratified_folds(n_p, len(labels) - n_p, n_folds, rng)

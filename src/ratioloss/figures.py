@@ -14,7 +14,7 @@ import numpy as np
 from .dre import (SampleSet, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
 from .generators import builtin_generator, parse_family
-from .kernels import KernelSpec, gram, median_heuristic
+from .kernels import MEDIAN, KernelSpec, gram
 from .losses import family_loss
 from .quadrature import simpson_nodes, simpson_weights
 from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
@@ -69,6 +69,7 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
     """
     sampler, exact_beta = gaussian_pair()
     grid = np.linspace(grid_lo, grid_hi, grid_n)
+    kernel = KernelSpec(kind="gaussian", sigma=MEDIAN)  # resolved per fit
     cells = []
     for family in families:
         for size in sizes:
@@ -84,8 +85,6 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
                     samples = SampleSet(
                         xs_p=sampler("p", n, rng, name=f"{tag}/p"),
                         xs_q=sampler("q", m, rng, name=f"{tag}/q"))
-                    sigma = median_heuristic(samples.pooled)
-                    kernel = KernelSpec(kind="gaussian", sigma=sigma)
                     if family == "kulsif":
                         model = kulsif_fit_closed_form(samples, kernel, alpha)
                     else:

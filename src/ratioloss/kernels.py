@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 GRAM_JITTER = 1e-10
+# a gaussian sigma to be set by the median heuristic on the training
+# points: the fits in dre resolve it, gram refuses it
+MEDIAN = "median"
 # squared distances are formed this many rows at a time, so each block's
 # temporaries stay in cache and no second n x m array exists
 DIST_ROWS = 64
@@ -14,23 +17,36 @@ DIST_ROWS = 64
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel description: 'gaussian' (needs sigma) or 'polynomial'
-    (needs integer degree >= 1; offset defaults to 1)."""
+    """Kernel description: 'gaussian' (needs sigma > 0, or MEDIAN) or
+    'polynomial' (needs integer degree >= 1; offset defaults to 1)."""
 
     kind: str
-    sigma: Optional[float] = None
+    sigma: Union[float, str, None] = None
     degree: Optional[int] = None
     offset: float = 1.0
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma is None or self.sigma <= 0:
-                raise ValueError("gaussian kernel needs sigma > 0")
+            if self.sigma != MEDIAN and not _positive(self.sigma):
+                raise ValueError("gaussian kernel needs sigma > 0 or 'median'")
         elif self.kind == "polynomial":
             if self.degree is None or int(self.degree) < 1:
                 raise ValueError("polynomial kernel needs degree >= 1")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+
+    @property
+    def median_sigma(self) -> bool:
+        """A gaussian whose sigma is still to be set by the median heuristic."""
+        return self.kind == "gaussian" and self.sigma == MEDIAN
+
+
+def _positive(v) -> bool:
+    """v > 0, and False for None, NaN or a non-number."""
+    try:
+        return bool(v > 0)
+    except TypeError:
+        return False
 
 
 def as_points(x) -> np.ndarray:
@@ -70,6 +86,8 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     y = as_points(y)
     if x.shape[1] != y.shape[1]:
         raise ValueError("point sets have mismatched dimensions")
+    if spec.median_sigma:
+        raise ValueError("median sigma is resolved by fitting, not by gram")
     if spec.kind == "gaussian":
         k = x @ y.T
         # rows / (-2 sigma^2) rounds exactly as -rows / (2 sigma^2)
@@ -88,27 +106,53 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(gram(spec, np.atleast_1d(x), np.atleast_1d(y))[0, 0])
 
 
-def median_heuristic(points) -> float:
-    """Median pairwise Euclidean distance over all pairs i < j.
+def _median_sq_dist(prod: np.ndarray, pts: np.ndarray) -> float:
+    """Median pairwise distance over pairs i < j of pts, overwriting
+    prod = pts @ pts.T with the squared distances on the way.
 
-    The squared distances of the pairs are partitioned around the middle
-    and only the one or two middle values are square-rooted; sqrt is
-    monotone, so this is the median of the distances.
+    The strict upper triangle is copied into a pair buffer, which is
+    partitioned once around the middle; the lower middle of an even
+    count is the largest entry before it.  Only the one or two middle
+    values are square-rooted: sqrt is monotone, so this is the median
+    of the distances.
     """
-    pts = as_points(points)
     n = pts.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
     pairs = np.empty(n * (n - 1) // 2)
     start = 0
-    for i, rows in _sq_dist_rows(pts @ pts.T, pts, pts):
+    for i, rows in _sq_dist_rows(prod, pts, pts):
         for j, row in enumerate(rows, start=i):
             pairs[start:start + n - j - 1] = row[j + 1:]
             start += n - j - 1
     mid = len(pairs) // 2
-    kth = [mid] if len(pairs) % 2 else [mid - 1, mid]
-    pairs.partition(kth)
-    med = float(np.median(np.sqrt(pairs[kth])))
+    pairs.partition(mid)
+    middle = [pairs[mid]] if len(pairs) % 2 else [pairs[:mid].max(), pairs[mid]]
+    med = float(np.median(np.sqrt(middle)))
     if med <= 0.0:
         raise ValueError("all points coincide; median distance is zero")
     return med
+
+
+def median_heuristic(points) -> float:
+    """Median pairwise Euclidean distance over all pairs i < j."""
+    pts = as_points(points)
+    return _median_sq_dist(pts @ pts.T, pts)
+
+
+def median_gram(points) -> tuple[float, np.ndarray]:
+    """(sigma, K): the median heuristic over points and their gaussian
+    Gram at that sigma, from one pass over the squared distances.
+
+    Equal bit for bit to median_heuristic(points) followed by
+    gram(KernelSpec("gaussian", sigma), points, points); the pair buffer
+    is freed before the distances are exponentiated in place.
+    """
+    pts = as_points(points)
+    k = pts @ pts.T
+    sigma = _median_sq_dist(k, pts)
+    scale = -2.0 * sigma ** 2
+    for i in range(0, len(k), DIST_ROWS):
+        rows = k[i:i + DIST_ROWS]
+        np.exp(np.divide(rows, scale, out=rows), out=rows)
+    return sigma, k

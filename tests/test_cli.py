@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratioloss import cli, dre, optim
+from ratioloss import (KernelSpec, cli, dre, empirical_risk, family_loss,
+                       gram, median_heuristic, optim)
 from ratioloss.cli import main
 
 
@@ -156,6 +157,99 @@ def test_cross_validation_uses_the_gradient_tolerance(tmp_path, monkeypatch):
     assert tols == [1e-3] * 16
 
 
+def test_fold_fits_use_the_pooled_median_sigma(tmp_path, monkeypatch):
+    # the median sigma is resolved once on the pooled sample, so all 15
+    # fold fits and the final fit share it
+    sigmas = []
+
+    def spying_fit(samples, loss, kernel, alpha, **kwargs):
+        sigmas.append(kernel.sigma)
+        return real_fit(samples, loss, kernel, alpha, **kwargs)
+
+    real_fit = dre.fit
+    monkeypatch.setattr(dre, "fit", spying_fit)
+    out = tmp_path / "cv"
+    assert main(["fit", "--family", "lr", "--alpha", "cv", "--n", "10",
+                 "--m", "10", "--out", str(out)]) == 0
+    model = json.loads((out / "model.json").read_text())
+    sigma = median_heuristic(np.asarray(model["centers"]))
+    assert model["kernel"]["sigma"] == sigma
+    assert sigmas == [sigma] * 15
+
+
+@pytest.mark.parametrize("solver", ["bfgs", "closed-form"])
+def test_default_sigma_is_the_median_of_the_pooled_points(tmp_path, solver):
+    args = ["fit", "--family", "kulsif", "--solver", solver, "--n", "30",
+            "--m", "20", "--seed", "3", "--alpha", "0.01"]
+    assert main(args + ["--out", str(tmp_path / "default")]) == 0
+    centers = json.loads((tmp_path / "default" / "model.json").read_text())[
+        "centers"]
+    sigma = median_heuristic(np.asarray(centers))
+    assert main(args + ["--sigma", repr(sigma),
+                        "--out", str(tmp_path / "explicit")]) == 0
+    for name in ("model.json", "metrics.json"):
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "explicit" / name).read_bytes())
+
+
+def test_metrics_report_the_final_gradient_norm(tmp_path, monkeypatch):
+    results = []
+
+    def spying_bfgs(obj, x0, **kwargs):
+        results.append(optim.bfgs(obj, x0, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dre, "bfgs", spying_bfgs)
+    out = tmp_path / "fit"
+    assert main(["fit", "--family", "lr", "--n", "20", "--m", "20",
+                 "--grad-tol", "1e-6", "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["status"] == "converged"
+    assert metrics["grad_norm"] == results[-1].grad_norm < 1e-6
+    # and it is the gradient norm of the written model's training risk
+    model = json.loads((out / "model.json").read_text())
+    centers = np.asarray(model["centers"])
+    g_matrix = gram(KernelSpec(kind="gaussian",
+                               sigma=model["kernel"]["sigma"]),
+                    centers, centers)
+    _, grad = empirical_risk(family_loss("lr"), g_matrix,
+                             np.repeat([1.0, -1.0], 20),
+                             np.asarray(model["coeffs"]), model["alpha"])
+    assert float(np.max(np.abs(grad))) == pytest.approx(metrics["grad_norm"],
+                                                        rel=1e-3)
+    # the closed form has no optimizer gradient to report
+    assert main(["fit", "--family", "kulsif", "--solver", "closed-form",
+                 "--n", "20", "--m", "20", "--out", str(tmp_path / "cf")]) == 0
+    assert json.loads((tmp_path / "cf" / "metrics.json").read_text())[
+        "grad_norm"] is None
+
+
+@pytest.mark.parametrize("grid", ["flag", "config"])
+def test_empty_cv_grid_is_a_usage_error(tmp_path, capsys, grid):
+    args = ["fit", "--family", "lr", "--alpha", "cv", "--n", "10", "--m",
+            "10", "--out", str(tmp_path / "cv")]
+    if grid == "flag":
+        args += ["--cv-alphas", ""]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cv_alphas": []}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "error: cross-validation needs a nonempty alpha grid\n")
+
+
+@pytest.mark.parametrize("solver", ["bfgs", "closed-form"])
+def test_coincident_points_are_a_usage_error(tmp_path, capsys, solver):
+    same = tmp_path / "same.csv"
+    np.savetxt(same, np.full(6, 0.25), delimiter=",")
+    assert main(["fit", "--family", "kulsif", "--solver", solver,
+                 "--data-p", str(same), "--data-q", str(same),
+                 "--out", str(tmp_path / "fit")]) == 1
+    assert capsys.readouterr().err == (
+        "error: all points coincide; median distance is zero\n")
+
+
 @pytest.mark.parametrize("folds", ["0", "1"])
 def test_fewer_than_two_folds_is_a_usage_error(tmp_path, capsys, folds):
     assert main(["fit", "--family", "lr", "--alpha", "cv", "--folds", folds,
@@ -198,13 +292,26 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
-def test_eval_model_file_errors(tmp_path):
+def test_eval_model_file_errors(tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "kulsif"}))
     assert main(["eval", "--model", str(bad),
                  "--out", str(tmp_path / "y")]) == 1
+    # a gaussian model without a usable bandwidth is refused before any
+    # Gram is formed
+    assert main(["fit", "--family", "kulsif", "--solver", "closed-form",
+                 "--n", "5", "--m", "5", "--out", str(tmp_path / "fit")]) == 0
+    doc = json.loads((tmp_path / "fit" / "model.json").read_text())
+    for sigma in (None, "wide", -1.0):
+        doc["kernel"]["sigma"] = sigma
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(bad),
+                     "--out", str(tmp_path / "z")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: gaussian kernel needs sigma > 0")
 
 
 def test_closed_form_requires_kulsif(tmp_path):

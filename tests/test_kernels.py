@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratioloss import (KernelSpec, as_points, gram, kernel_eval,
-                       median_heuristic)
+from ratioloss import (MEDIAN, KernelSpec, as_points, gram, kernel_eval,
+                       median_gram, median_heuristic)
 
 
 def test_kernel_spec_validation():
@@ -21,6 +21,21 @@ def test_kernel_spec_validation():
         KernelSpec(kind="polynomial", degree=0)
     with pytest.raises(ValueError):
         KernelSpec(kind="laplace", sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), "wide", "Median"])
+def test_gaussian_sigma_is_a_positive_number_or_median(sigma):
+    with pytest.raises(ValueError, match="needs sigma > 0 or 'median'"):
+        KernelSpec(kind="gaussian", sigma=sigma)
+
+
+def test_median_sigma_is_resolved_by_fitting_not_by_gram():
+    spec = KernelSpec(kind="gaussian", sigma=MEDIAN)
+    with pytest.raises(ValueError, match="resolved by fitting"):
+        gram(spec, [0.0, 1.0], [0.0, 1.0])
+    # a polynomial kernel has no bandwidth to resolve
+    poly = KernelSpec(kind="polynomial", degree=2, sigma=MEDIAN)
+    assert gram(poly, [1.0], [2.0])[0, 0] == 9.0
 
 
 def test_gaussian_point_values():
@@ -66,10 +81,14 @@ def test_as_points_coercion():
 def test_median_heuristic_frozen_case():
     # pairwise distances {1, 1, 2} have median 1
     assert median_heuristic([0.0, 1.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
+    # {1, 2, 3, 4, 6, 7}: an even count averages the two middle distances
+    assert median_heuristic([0.0, 1.0, 3.0, 7.0]) == 3.5
     with pytest.raises(ValueError):
         median_heuristic([1.0])
     with pytest.raises(ValueError):
         median_heuristic([2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="all points coincide"):
+        median_gram([2.0, 2.0, 2.0])
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=8, unique=True),
@@ -97,9 +116,10 @@ def dense_median_heuristic(pts):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [63, 64, 65, 333])
+@pytest.mark.parametrize("n", [2, 3, 4, 63, 64, 65, 333])
 def test_row_blocks_match_dense_formulas_bit_for_bit(n, d):
-    # pair counts n(n-1)/2: 1953 is odd; 2016, 2080 and 55278 are even
+    # pair counts n(n-1)/2: 1, 3 and 1953 are odd; 6, 2016, 2080 and
+    # 55278 are even
     rng = np.random.default_rng(100 * n + d)
     x = rng.standard_normal((n, d)) * 3.0
     x[: n // 4] = np.round(x[: n // 4], 1)  # repeated distances
@@ -110,6 +130,10 @@ def test_row_blocks_match_dense_formulas_bit_for_bit(n, d):
     assert np.array_equal(gram(spec, x, x), dense_gaussian_gram(sigma, x, x))
     assert np.array_equal(gram(spec, x, y), dense_gaussian_gram(sigma, x, y))
     assert np.array_equal(gram(spec, y, x), dense_gaussian_gram(sigma, y, x))
+    # one distance pass gives the median sigma and its Gram unchanged
+    med, k = median_gram(x)
+    assert med == median_heuristic(x)
+    assert np.array_equal(k, gram(KernelSpec(kind="gaussian", sigma=med), x, x))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -136,11 +160,12 @@ def _peak_bytes(f):
 
 def test_large_inputs_build_one_square_array():
     # the dense formulas peak at about three n x n arrays; row blocks keep
-    # gram to its output and median_heuristic to one product plus the
-    # n(n-1)/2 pair buffer
+    # gram to its output, and median_heuristic and median_gram to one
+    # product plus the n(n-1)/2 pair buffer
     n = 2000
     x = np.random.default_rng(0).standard_normal((n, 1))
     square = n * n * 8
     assert _peak_bytes(lambda: median_heuristic(x)) < 2.0 * square
+    assert _peak_bytes(lambda: median_gram(x)) < 2.0 * square
     spec = KernelSpec(kind="gaussian", sigma=0.5)
     assert _peak_bytes(lambda: gram(spec, x, x)) < 1.25 * square
