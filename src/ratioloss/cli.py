@@ -299,18 +299,24 @@ def cmd_fit(o: dict) -> int:
     if o["solver"] == "closed-form" and o["family"] != "kulsif":
         raise ValueError("closed-form solver is only defined for kulsif")
 
-    cv_table = None
+    cv = None
     alpha = o["alpha"]
     if alpha == "cv":
-        alpha, cv_table = cross_validate_alpha(
+        cv = cross_validate_alpha(
             samples, loss, kernel, alphas=o["cv_alphas"], n_folds=o["folds"],
             rng=rng, max_iter=o["max_iter"], grad_tol=o["grad_tol"])
+        alpha, kernel = cv.alpha, cv.kernel  # the folds' resolved sigma
+        short = [f"{count} of {o['folds']} at alpha {a:g}"
+                 for a, count in cv.unconverged if count]
+        if short:
+            print("warning: cross-validation fold fits ended unconverged: "
+                  + ", ".join(short), file=sys.stderr)
     if o["solver"] == "closed-form":
         model = kulsif_fit_closed_form(samples, kernel, alpha)
     else:
         model = fit(samples, loss, kernel, alpha, max_iter=o["max_iter"],
                     grad_tol=o["grad_tol"], family=o["family"], k=o["k"])
-        if model.status in ("max_iter", "line_search_failed"):
+        if model.unconverged:
             print(f"warning: fit ended {model.status} after "
                   f"{model.iterations} iterations", file=sys.stderr)
 
@@ -325,7 +331,8 @@ def cmd_fit(o: dict) -> int:
         "train_risk": model.train_risk, "status": model.status,
         "iterations": model.iterations, "grad_norm": model.grad_norm,
         "n": len(samples.xs_p), "m": len(samples.xs_q), "seed": o["seed"],
-        "alpha": alpha, "cv_table": cv_table,
+        "alpha": alpha, "cv_table": None if cv is None else cv.table,
+        "cv_unconverged": None if cv is None else cv.unconverged,
     })
     return 0
 

@@ -11,6 +11,8 @@ ratio map.
 """
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -74,6 +76,11 @@ class RatioModel:
 
     def scores(self, xs) -> np.ndarray:
         return gram(self.kernel, xs, self.centers) @ self.coeffs
+
+    @property
+    def unconverged(self) -> bool:
+        """An iterative fit that stopped short of its gradient tolerance."""
+        return self.status in ("max_iter", "line_search_failed")
 
 
 def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray,
@@ -235,19 +242,30 @@ def _stratified_folds(n_p: int, n_q: int, n_folds: int, rng: Rng):
             for i in range(n_folds)]
 
 
+@dataclass(frozen=True)
+class CrossValidation:
+    """What cross_validate_alpha selected, and from what."""
+
+    alpha: float  # the chosen alpha
+    table: list  # [(alpha, mean held-out risk), ...] in grid order
+    unconverged: list  # [(alpha, fold fits that ended unconverged), ...]
+    kernel: KernelSpec  # the fold fits' kernel, a median sigma resolved
+
+
 def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
                          kernel: KernelSpec,
                          alphas: Sequence[float] = (10.0, 0.1, 1e-3),
                          n_folds: int = 5, rng: Optional[Rng] = None,
                          max_iter: int = 100,
-                         grad_tol: float = 1e-8) -> tuple[float, list]:
+                         grad_tol: float = 1e-8) -> CrossValidation:
     """K-fold selection of alpha by held-out unpenalized risk.
 
     Folds are stratified by class; ties go to the smaller alpha.
     Alphas whose held-out risk is non-finite stay in the table but are
     never chosen.  A median sigma is resolved once on the pooled sample,
-    so every fold fit uses the sigma of the final fit.  Returns
-    (chosen alpha, [(alpha, mean held-out risk), ...]).
+    and the result's kernel carries it, so the final fit can use the
+    fold fits' sigma without resolving it again.  The fold fits are
+    independent and run on every usable CPU (see _run_jobs).
     """
     if len(alphas) == 0:
         raise ValueError("cross-validation needs a nonempty alpha grid")
@@ -260,21 +278,114 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
     folds = _stratified_folds(n_p, len(labels) - n_p, n_folds, rng)
     all_idx = np.arange(len(labels))
 
-    table = []
-    for alpha in alphas:
-        held_out = []
-        for fold in folds:
-            train = np.setdiff1d(all_idx, fold)
-            tr_labels = labels[train]
-            tr = SampleSet(xs_p=pooled[train[tr_labels > 0]],
-                           xs_q=pooled[train[tr_labels < 0]])
-            model = fit(tr, loss, kernel, alpha, max_iter=max_iter,
-                        grad_tol=grad_tol, clamp_budget=None)
-            held_out.append(_data_risk(loss, model.scores(pooled[fold]),
-                                       labels[fold] > 0))
-        table.append((float(alpha), float(np.mean(held_out))))
+    def fold_fit(i: int) -> tuple[float, bool]:
+        """Held-out risk of fold i % n_folds at alpha i // n_folds."""
+        fold = folds[i % n_folds]
+        train = np.setdiff1d(all_idx, fold)
+        tr_labels = labels[train]
+        tr = SampleSet(xs_p=pooled[train[tr_labels > 0]],
+                       xs_q=pooled[train[tr_labels < 0]])
+        model = fit(tr, loss, kernel, alphas[i // n_folds], max_iter=max_iter,
+                    grad_tol=grad_tol, clamp_budget=None)
+        return (_data_risk(loss, model.scores(pooled[fold]), labels[fold] > 0),
+                model.unconverged)
+
+    runs = _run_jobs(fold_fit, len(alphas) * n_folds)
+    table, unconverged = [], []
+    for j, alpha in enumerate(alphas):
+        held_out = runs[j * n_folds:(j + 1) * n_folds]
+        table.append((float(alpha), float(np.mean([r for r, _ in held_out]))))
+        unconverged.append((float(alpha), sum(u for _, u in held_out)))
     chosen = _select_alpha([a for a, _ in table], [r for _, r in table])
-    return chosen, table
+    return CrossValidation(alpha=chosen, table=table, unconverged=unconverged,
+                           kernel=kernel)
+
+
+def _run_jobs(job: Callable[[int], object], n_jobs: int) -> list:
+    """[job(0), ..., job(n_jobs - 1)], run in workers forked from this
+    process, one per usable CPU, when there are at least two of each.
+
+    Worker w of W runs jobs w, w + W, ... and sends its results back
+    through a pipe, so a job may close over anything, but its result and
+    any exception it raises must pickle.  The exception of the first
+    failing job, in job order, is raised here; a worker that exits
+    without sending its results raises RuntimeError.  Every child is
+    reaped before return, also when this call is interrupted.  The jobs
+    run here, one after another, without os.fork or
+    os.sched_getaffinity (outside Linux) or when a fork fails.
+    """
+    try:
+        n_workers = min(n_jobs, len(os.sched_getaffinity(0)))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        n_workers = 1
+    if n_workers > 1 and hasattr(os, "fork"):
+        import signal
+        running = {}  # pid -> read end of its result pipe
+        try:
+            for w in range(n_workers):
+                rfd, wfd = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the jobs run here
+                    os.close(rfd)
+                    os.close(wfd)
+                    break
+                if pid == 0:
+                    _serve(job, range(w, n_jobs, n_workers), wfd)
+                os.close(wfd)
+                running[pid] = rfd
+            else:
+                return _gather(running, n_jobs, n_workers)
+        finally:
+            for pid, rfd in running.items():
+                os.close(rfd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [job(i) for i in range(n_jobs)]
+
+
+def _serve(job: Callable[[int], object], indices: range, wfd: int) -> None:
+    """Run job(i) for i in indices in a forked worker, send (results,
+    (index, exception) of a failed job or None) through wfd, and leave
+    by os._exit: the parent's atexit handlers and unflushed stdio
+    buffers are not the worker's to run."""
+    code = 1
+    try:
+        done, failure = [], None
+        try:
+            for i in indices:
+                done.append(job(i))
+        except BaseException as exc:  # re-raised by the caller
+            failure = (i, exc)
+        data = pickle.dumps((done, failure))
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _gather(running: dict, n_jobs: int, n_workers: int) -> list:
+    """Read and reap the workers of _run_jobs, in worker order, removing
+    each from running; their results in job order."""
+    results = [None] * n_jobs
+    failures = []
+    for w, pid in enumerate(list(running)):
+        chunks = []
+        while chunk := os.read(running[pid], 1 << 16):
+            chunks.append(chunk)
+        os.close(running.pop(pid))
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise RuntimeError(f"fit worker {w} exited with status {code} "
+                               "before sending its results")
+        done, failure = pickle.loads(b"".join(chunks))
+        results[w:w + n_workers * len(done):n_workers] = done
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 def _softplus(t: float) -> float:

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dre import (SampleSet, fit, kulsif_fit_closed_form,
+from .dre import (SampleSet, _run_jobs, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
 from .generators import builtin_generator, parse_family
 from .kernels import MEDIAN, KernelSpec, gram
@@ -65,42 +65,47 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
     kulsif is solved in closed form (its exact minimizer is the object
     of interest); ew is fitted by BFGS.  Reports max |beta_hat| on the
     evaluation grid per replicate, and per cell how many replicates'
-    fits ended neither converged nor in closed form.
+    fits ended neither converged nor in closed form.  Every replicate
+    samples its own named streams, so the fits are independent and run
+    on every usable CPU (see dre._run_jobs).
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     sampler, exact_beta = gaussian_pair()
     grid = np.linspace(grid_lo, grid_hi, grid_n)
     kernel = KernelSpec(kind="gaussian", sigma=MEDIAN)  # resolved per fit
+    specs = [(family, size, alpha) for family in families
+             for size in sizes for alpha in alphas]
+
+    def replicate(i: int):
+        """max |beta_hat|, unconverged and, for replicate 0, beta_hat on
+        the grid, of replicate i % n_seeds of cell i // n_seeds."""
+        family, size, alpha = specs[i // n_seeds]
+        rep = i % n_seeds
+        n = size // 2
+        rng = Rng(seed)
+        tag = f"fig2/{family}/{size}/{alpha:g}/{rep}"
+        samples = SampleSet(xs_p=sampler("p", n, rng, name=f"{tag}/p"),
+                            xs_q=sampler("q", size - n, rng, name=f"{tag}/q"))
+        if family == "kulsif":
+            model = kulsif_fit_closed_form(samples, kernel, alpha)
+        else:
+            model = fit(samples, family_loss(family), kernel, alpha,
+                        max_iter=max_iter, family=family)
+        bh = predict_ratio(model, grid)
+        return float(np.max(np.abs(bh))), model.unconverged, (
+            bh if rep == 0 else None)
+
+    runs = _run_jobs(replicate, len(specs) * n_seeds)
     cells = []
-    for family in families:
-        for size in sizes:
-            n = size // 2
-            m = size - n
-            for alpha in alphas:
-                maxima = []
-                curve0 = None
-                unconverged = 0
-                for rep in range(n_seeds):
-                    rng = Rng(seed)
-                    tag = f"fig2/{family}/{size}/{alpha:g}/{rep}"
-                    samples = SampleSet(
-                        xs_p=sampler("p", n, rng, name=f"{tag}/p"),
-                        xs_q=sampler("q", m, rng, name=f"{tag}/q"))
-                    if family == "kulsif":
-                        model = kulsif_fit_closed_form(samples, kernel, alpha)
-                    else:
-                        model = fit(samples, family_loss(family), kernel,
-                                    alpha, max_iter=max_iter, family=family)
-                    unconverged += model.status not in ("converged",
-                                                        "closed_form")
-                    bh = predict_ratio(model, grid)
-                    maxima.append(float(np.max(np.abs(bh))))
-                    if rep == 0:
-                        curve0 = bh
-                cells.append(Fig2Cell(family=family, size=size,
-                                      alpha=float(alpha), max_abs=maxima,
-                                      median_max_abs=float(np.median(maxima)),
-                                      curve=curve0,
-                                      unconverged=unconverged))
+    for c, (family, size, alpha) in enumerate(specs):
+        reps = runs[c * n_seeds:(c + 1) * n_seeds]
+        maxima = [r[0] for r in reps]
+        cells.append(Fig2Cell(family=family, size=size, alpha=float(alpha),
+                              max_abs=maxima,
+                              median_max_abs=float(np.median(maxima)),
+                              curve=reps[0][2],
+                              unconverged=sum(r[1] for r in reps)))
     return {"cells": cells, "grid": grid, "exact_beta": exact_beta(grid)}
 
 

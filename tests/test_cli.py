@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ratioloss import (KernelSpec, cli, dre, empirical_risk, family_loss,
-                       gram, median_heuristic, optim)
+                       gram, kernels, median_heuristic, optim)
 from ratioloss.cli import main
 
 
@@ -142,28 +142,38 @@ def test_fit_with_cross_validated_alpha(tmp_path):
     assert len(metrics["cv_table"]) == 2
 
 
+def _log_calls(path):
+    """A spy's log: one line per call, appended to a file, so that calls
+    made in forked fit workers reach the test too."""
+    def log(value):
+        with open(path, "a") as fh:
+            fh.write(repr(value) + "\n")
+    return log
+
+
 def test_cross_validation_uses_the_gradient_tolerance(tmp_path, monkeypatch):
     # 3 alphas x 5 folds, then the final fit: every solve gets --grad-tol
-    tols = []
+    log = _log_calls(tmp_path / "tols")
 
     def spying_bfgs(obj, x0, **kwargs):
-        tols.append(kwargs["grad_tol"])
+        log(kwargs["grad_tol"])
         return optim.bfgs(obj, x0, **kwargs)
 
     monkeypatch.setattr(dre, "bfgs", spying_bfgs)
     assert main(["fit", "--family", "lr", "--alpha", "cv", "--grad-tol",
                  "1e-3", "--n", "10", "--m", "10",
                  "--out", str(tmp_path / "cv")]) == 0
+    tols = [float(v) for v in (tmp_path / "tols").read_text().split()]
     assert tols == [1e-3] * 16
 
 
 def test_fold_fits_use_the_pooled_median_sigma(tmp_path, monkeypatch):
     # the median sigma is resolved once on the pooled sample, so all 15
     # fold fits and the final fit share it
-    sigmas = []
+    log = _log_calls(tmp_path / "sigmas")
 
     def spying_fit(samples, loss, kernel, alpha, **kwargs):
-        sigmas.append(kernel.sigma)
+        log(kernel.sigma)
         return real_fit(samples, loss, kernel, alpha, **kwargs)
 
     real_fit = dre.fit
@@ -174,7 +184,86 @@ def test_fold_fits_use_the_pooled_median_sigma(tmp_path, monkeypatch):
     model = json.loads((out / "model.json").read_text())
     sigma = median_heuristic(np.asarray(model["centers"]))
     assert model["kernel"]["sigma"] == sigma
+    sigmas = [float(v) for v in (tmp_path / "sigmas").read_text().split()]
     assert sigmas == [sigma] * 15
+
+
+@pytest.mark.parametrize("solver", ["bfgs", "closed-form"])
+def test_cross_validation_resolves_the_median_sigma_once(tmp_path,
+                                                         monkeypatch, solver):
+    # the final fit takes the folds' sigma instead of a second median
+    calls = []
+
+    def spying_median(prod, pts):
+        calls.append(len(pts))
+        return real_median(prod, pts)
+
+    real_median = kernels._median_sq_dist
+    monkeypatch.setattr(kernels, "_median_sq_dist", spying_median)
+    assert main(["fit", "--family", "kulsif", "--solver", solver, "--alpha",
+                 "cv", "--n", "12", "--m", "10",
+                 "--out", str(tmp_path / "cv")]) == 0
+    assert calls == [22]
+
+
+def test_unconverged_fold_fits_are_counted_and_warned(tmp_path, capsys):
+    # 3 of the 15 fold fits end max_iter; the selection is unchanged
+    out = tmp_path / "cv"
+    assert main(["fit", "--family", "poly", "--k", "6", "--n", "20",
+                 "--m", "20", "--seed", "3", "--alpha", "cv",
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["cv_unconverged"] == [[10.0, 0], [0.1, 2], [0.001, 1]]
+    assert metrics["alpha"] == 0.001
+    assert metrics["status"] == "converged"
+    assert capsys.readouterr().err == (
+        "warning: cross-validation fold fits ended unconverged: "
+        "2 of 5 at alpha 0.1, 1 of 5 at alpha 0.001\n")
+    assert main(["fit", "--family", "lr", "--n", "10", "--m", "10",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "metrics.json").read_text())[
+        "cv_unconverged"] is None
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_serial_and_forked_fits_write_the_same_bytes(tmp_path, usable_cpus,
+                                                     capsys):
+    runs = {}
+    for cpus in (1, 3):
+        usable_cpus(cpus)
+        out = tmp_path / str(cpus)
+        assert main(["fit", "--family", "poly", "--k", "6", "--n", "20",
+                     "--m", "20", "--seed", "3", "--alpha", "cv",
+                     "--out", str(out / "cv")]) == 0
+        assert main(["fig2", "--sizes", "10", "--alphas", "1e-6,0.01",
+                     "--n-seeds", "3", "--grid-n", "21",
+                     "--out", str(out / "fig2")]) == 0
+        runs[cpus] = (_tree_bytes(out), capsys.readouterr())
+    assert runs[1] == runs[3]
+    assert "warning: cross-validation" in runs[1][1].err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("error, code", [(cli.FitError, 2), (ValueError, 1)])
+def test_a_failing_fold_fit_fails_the_command(tmp_path, monkeypatch, capsys,
+                                              usable_cpus, error, code):
+    def failing_fit(samples, loss, kernel, alpha, **kwargs):
+        if alpha == 0.1:
+            raise error(f"forced at alpha {alpha}")
+        return real_fit(samples, loss, kernel, alpha, **kwargs)
+
+    real_fit = dre.fit
+    monkeypatch.setattr(dre, "fit", failing_fit)
+    usable_cpus(2)
+    assert main(["fit", "--family", "lr", "--alpha", "cv", "--n", "10",
+                 "--m", "10", "--out", str(tmp_path / "cv")]) == code
+    prefix = "numerical failure" if code == 2 else "error"
+    assert capsys.readouterr().err == f"{prefix}: forced at alpha 0.1\n"
 
 
 @pytest.mark.parametrize("solver", ["bfgs", "closed-form"])
@@ -272,6 +361,14 @@ def test_unconverged_fit_warns_and_exits_zero(tmp_path, capsys):
     assert json.loads((out / "metrics.json").read_text())["status"] == (
         "converged")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n_seeds", ["0", "-1"])
+def test_fig2_needs_a_replicate(tmp_path, capsys, n_seeds):
+    assert main(["fig2", "--n-seeds", n_seeds,
+                 "--out", str(tmp_path / "f2")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: n_seeds must be at least 1, got {n_seeds}\n")
 
 
 def test_config_file_with_cli_override(tmp_path):

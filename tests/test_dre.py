@@ -1,6 +1,11 @@
 """Kernel density-ratio fitting: empirical risk, closed-form kulsif,
 cross-validation, and the parametric population fit."""
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from ratioloss import (GRAM_JITTER, FitError, KernelSpec, PiecewisePairSpec,
                        kulsif_fit_closed_form, median_heuristic,
                        population_fit_parametric, predict_ratio,
                        sample_piecewise, sup_error, piecewise_beta)
-from ratioloss.dre import _select_alpha
+from ratioloss.dre import _run_jobs, _select_alpha
 
 
 def small_samples(n=12, m=12, seed=0):
@@ -140,13 +145,119 @@ def test_predict_ratio_caps_and_counts():
 def test_cross_validation_selects_from_the_table():
     s = small_samples(n=14, m=14, seed=4)
     kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
-    chosen, table = cross_validate_alpha(s, family_loss("kulsif"), kernel,
-                                         alphas=(10.0, 1e-3), n_folds=2,
-                                         rng=Rng(0), max_iter=120)
+    cv = cross_validate_alpha(s, family_loss("kulsif"), kernel,
+                              alphas=(10.0, 1e-3), n_folds=2, rng=Rng(0),
+                              max_iter=120)
+    chosen, table = cv.alpha, cv.table
     assert len(table) == 2
     assert all(np.isfinite(r) for _, r in table)
     best = min(r for _, r in table)
     assert chosen == min(a for a, r in table if r == best)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_run_jobs_returns_results_in_job_order(usable_cpus, cpus):
+    usable_cpus(cpus)
+    parent = os.getpid()
+    results = _run_jobs(lambda i: (i, os.getpid() != parent, np.arange(i)), 7)
+    assert [r[0] for r in results] == list(range(7))
+    assert all(np.array_equal(r[2], np.arange(i))
+               for i, r in enumerate(results))
+    # one CPU runs every job here, more run them all in forked workers
+    assert {r[1] for r in results} == {cpus > 1}
+    assert _run_jobs(lambda i: i, 0) == []
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_jobs_raises_the_first_failure_in_job_order(usable_cpus):
+    usable_cpus(2)
+
+    def job(i):
+        if i in (3, 4, 6):  # workers 1 and 0 fail at jobs 3 and 4
+            raise FitError(f"job {i}")
+        return i
+
+    with pytest.raises(FitError, match="^job 3$"):
+        _run_jobs(job, 8)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_that_exits_without_results_raises(usable_cpus):
+    usable_cpus(2)
+
+    def job(i):
+        if i == 3:
+            os._exit(1)
+        return i
+
+    with pytest.raises(RuntimeError, match="worker 1 exited with status 1"):
+        _run_jobs(job, 6)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_run_jobs_runs_here_when_a_fork_fails(monkeypatch, usable_cpus):
+    # the first worker forks, the second cannot: the first is stopped
+    # and reaped, and every job runs in the caller
+    real_fork = os.fork
+    forks = []
+
+    def fork_once():
+        if forks:
+            raise OSError("no process to spare")
+        forks.append(real_fork())
+        return forks[-1]
+
+    usable_cpus(2)
+    monkeypatch.setattr(os, "fork", fork_once)
+    parent = os.getpid()
+    assert _run_jobs(lambda i: (i, os.getpid() == parent), 4) == [
+        (i, True) for i in range(4)]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_an_interrupted_caller_reaps_its_workers(usable_cpus):
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    usable_cpus(2)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        start = time.monotonic()
+        with pytest.raises(Interrupted):
+            _run_jobs(lambda i: time.sleep(30), 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    code = ("import sys, ratioloss.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout == "[]\n"
 
 
 def test_select_alpha_skips_non_finite_risks():
