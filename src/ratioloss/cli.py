@@ -21,9 +21,9 @@ import numpy as np
 from .checks import run_all
 from .dre import (FitError, RatioModel, SampleSet, cross_validate_alpha, fit,
                   kulsif_fit_closed_form, predict_ratio)
-from .figures import FIGURE1_FAMILIES, figure1, figure2, figure3
+from .figures import FIGURE1_FAMILIES, SUP_INTERVAL, figure1, figure2, figure3
 from .generators import DOMAIN_EPS, FAMILY_NAMES, RATIO_CAP
-from .kernels import MEDIAN, KernelSpec
+from .kernels import MEDIAN, KernelSpec, as_points
 from .losses import convexity_margin, family_loss
 from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
                     sample_piecewise, target_function)
@@ -31,27 +31,16 @@ from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
 
 # ---------------------------------------------------------------- helpers
 
-def _py(obj):
-    """Recursively convert numpy containers and scalars to plain python."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        # tolist already gives plain floats for a float array
-        return obj.tolist() if obj.dtype.kind == "f" else _py(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as python lists and scalars."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_py(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -315,7 +304,7 @@ def cmd_fit(o: dict) -> int:
         model = kulsif_fit_closed_form(samples, kernel, alpha)
     else:
         model = fit(samples, loss, kernel, alpha, max_iter=o["max_iter"],
-                    grad_tol=o["grad_tol"], family=o["family"], k=o["k"])
+                    grad_tol=o["grad_tol"])
         if model.unconverged:
             print(f"warning: fit ended {model.status} after "
                   f"{model.iterations} iterations", file=sys.stderr)
@@ -345,15 +334,17 @@ def cmd_eval(o: dict) -> int:
         if key not in doc:
             raise ValueError(f"model file is missing {key!r}")
     kdoc = doc["kernel"]
+    if not isinstance(kdoc, dict) or "kind" not in kdoc:
+        raise ValueError("model file's 'kernel' must be an object with a 'kind'")
     kernel = KernelSpec(kind=kdoc["kind"], sigma=kdoc.get("sigma"),
                         degree=kdoc.get("degree"),
                         offset=kdoc.get("offset", 1.0))
+    centers = as_points(doc["centers"])
+    coeffs = np.asarray(doc["coeffs"], dtype=float)
+    if coeffs.shape != (len(centers),):
+        raise ValueError("model file's 'coeffs' must hold one per center")
     loss = family_loss(doc["family"], k=float(doc.get("k", 0.0)))
-    model = RatioModel(kernel=kernel,
-                       centers=np.asarray(doc["centers"], dtype=float),
-                       coeffs=np.asarray(doc["coeffs"], dtype=float),
-                       loss=loss, alpha=float(doc["alpha"]),
-                       family=doc["family"], k=float(doc.get("k", 0.0)))
+    model = RatioModel(kernel, centers, coeffs, loss)
 
     if o["data"] is not None:
         pts = _load_points(o["data"])
@@ -402,7 +393,7 @@ def cmd_fig1(o: dict) -> int:
         "sup_errors": sups,
         "theta": {n: res["fits"][n].theta for n in FIGURE1_FAMILIES},
         "ranking": ranking,
-        "sup_interval": [0.9, 1.0],
+        "sup_interval": SUP_INTERVAL,
     })
     return 0
 

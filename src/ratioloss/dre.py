@@ -66,9 +66,6 @@ class RatioModel:
     centers: np.ndarray
     coeffs: np.ndarray
     loss: CompositeLoss
-    alpha: float
-    family: str = ""
-    k: float = 0.0
     train_risk: float = float("nan")
     status: str = ""
     iterations: int = 0
@@ -128,8 +125,7 @@ def _clamped_fraction(loss: CompositeLoss, scores: np.ndarray) -> float:
 
 def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
         alpha: float, max_iter: int = 100, grad_tol: float = 1e-8,
-        clamp_budget: Optional[float] = CLAMP_BUDGET,
-        family: str = "", k: float = 0.0) -> RatioModel:
+        clamp_budget: Optional[float] = CLAMP_BUDGET) -> RatioModel:
     """Fit a kernel ratio model by BFGS from the zero coefficient vector.
 
     A gaussian kernel with sigma MEDIAN gets the median heuristic over
@@ -153,8 +149,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     res = bfgs(obj, np.zeros(len(centers)), max_iter=max_iter,
                grad_tol=grad_tol, linear=g_matrix)
     model = RatioModel(kernel=kernel, centers=centers, coeffs=res.x_star,
-                       loss=loss, alpha=alpha, family=family, k=k,
-                       train_risk=res.f_star, status=res.status,
+                       loss=loss, train_risk=res.f_star, status=res.status,
                        iterations=res.iterations, grad_norm=res.grad_norm)
     if clamp_budget is not None:
         frac = _clamped_fraction(loss, g_matrix @ res.x_star)
@@ -207,8 +202,7 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     loss = family_loss("kulsif")
     value, _ = _score_risk(loss, labels > 0, coeffs, g_matrix @ coeffs, alpha)
     return RatioModel(kernel=kernel, centers=centers, coeffs=coeffs,
-                      loss=loss, alpha=alpha, family="kulsif",
-                      train_risk=value, status="closed_form")
+                      loss=loss, train_risk=value, status="closed_form")
 
 
 def _select_alpha(alphas: Sequence[float], risks: Sequence[float]) -> float:
@@ -464,9 +458,8 @@ def population_fit_parametric(gen: BregmanGenerator,
 
 
 def sup_error(beta_hat: Callable[[np.ndarray], np.ndarray],
-              spec: PiecewisePairSpec, lo: float, hi: float,
-              n_grid: int = 2001) -> float:
-    """Largest |beta_hat - beta| over a uniform grid on [lo, hi]."""
-    xs = np.linspace(lo, hi, n_grid)
+              spec: PiecewisePairSpec, lo: float, hi: float) -> float:
+    """Largest |beta_hat - beta| over 2001 evenly spaced points of [lo, hi]."""
+    xs = np.linspace(lo, hi, 2001)
     return float(np.max(np.abs(np.asarray(beta_hat(xs), dtype=float)
                                - piecewise_beta(spec, xs))))

@@ -7,7 +7,7 @@ tests; they only use the public library API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,22 +17,21 @@ from .generators import builtin_generator, parse_family
 from .kernels import MEDIAN, KernelSpec, gram
 from .losses import family_loss
 from .quadrature import simpson_nodes, simpson_weights
-from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
-                    piecewise_beta, regression_task, target_function)
+from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
+                    regression_task, target_function)
 from .iw import WeightedRegressionTask, krr_predictor, weighted_krr
 
 FIGURE1_FAMILIES = ("lr", "kulsif", "poly1", "poly6", "ew")
+SUP_INTERVAL = (0.9, 1.0)  # inside the default pair's large-ratio region
 
 
-def figure1(spec: Optional[PiecewisePairSpec] = None, quad_nodes: int = 2001,
-            max_iter: int = 400, sup_interval: tuple[float, float] = (0.9, 1.0)):
-    """Population parametric fits for each divergence family.
+def figure1(quad_nodes: int = 2001, max_iter: int = 400):
+    """Population parametric fits of the default pair, one per family.
 
-    Returns {"fits": name -> PopulationFit, "sup_errors": name -> float,
-    "families": tuple}; sup errors are taken over sup_interval, inside
-    the pair's large-ratio region.
+    Returns {"fits": name -> PopulationFit, "sup_errors": name -> float};
+    sup errors are taken over SUP_INTERVAL.
     """
-    spec = spec or default_pair()
+    spec = default_pair()
     fits = {}
     sups = {}
     for name in FIGURE1_FAMILIES:
@@ -40,8 +39,8 @@ def figure1(spec: Optional[PiecewisePairSpec] = None, quad_nodes: int = 2001,
                                        spec, quad_nodes=quad_nodes,
                                        max_iter=max_iter)
         fits[name] = pf
-        sups[name] = sup_error(pf.beta_hat, spec, *sup_interval)
-    return {"fits": fits, "sup_errors": sups, "families": FIGURE1_FAMILIES}
+        sups[name] = sup_error(pf.beta_hat, spec, *SUP_INTERVAL)
+    return {"fits": fits, "sup_errors": sups}
 
 
 @dataclass
@@ -91,7 +90,7 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
             model = kulsif_fit_closed_form(samples, kernel, alpha)
         else:
             model = fit(samples, family_loss(family), kernel, alpha,
-                        max_iter=max_iter, family=family)
+                        max_iter=max_iter)
         bh = predict_ratio(model, grid)
         return float(np.max(np.abs(bh))), model.unconverged, (
             bh if rep == 0 else None)
@@ -109,18 +108,17 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
     return {"cells": cells, "grid": grid, "exact_beta": exact_beta(grid)}
 
 
-def figure3(seed: int = 0, spec: Optional[PiecewisePairSpec] = None,
-            n_src: int = 200, n_tgt: int = 200, noise_sigma: float = 0.1,
-            degree: int = 5, alpha: float = 1e-32, quad_nodes: int = 2001,
-            max_iter: int = 400, l2_nodes: int = 10001):
+def figure3(seed: int = 0, n_src: int = 200, n_tgt: int = 200,
+            noise_sigma: float = 0.1, degree: int = 5, alpha: float = 1e-32,
+            quad_nodes: int = 2001, max_iter: int = 400, l2_nodes: int = 10001):
     """Importance-weighted polynomial regression under covariate shift.
 
-    Source inputs are drawn from Q, but errors are judged under both P
-    and Q.  Weightings compared: uniform, the exact ratio, and the two
-    population ratio estimates (ew and lr) from figure1's parametric
-    family.
+    Labels exist on the source only: the fits see n_src noisy labels at
+    inputs drawn from the default pair's Q; errors are judged under P and
+    Q.  Weightings compared: uniform, the exact ratio, and the population
+    ratio estimates (ew and lr) from figure1's parametric family.
     """
-    spec = spec or default_pair()
+    spec = default_pair()
     rng = Rng(seed)
     task = regression_task(spec, n_src, n_tgt, noise_sigma, rng,
                            name=f"fig3/{seed}")
@@ -161,5 +159,5 @@ def figure3(seed: int = 0, spec: Optional[PiecewisePairSpec] = None,
             l2p_sq[name] += p_level * sq
             l2q_sq[name] += q_level * sq
         del k_nodes  # free before the next piece's Gram is formed
-    return {"task": task, "population_fits": pop, "weightings": weightings,
+    return {"population_fits": pop, "weightings": weightings,
             "predictors": predictors, "l2p_sq": l2p_sq, "l2q_sq": l2q_sq}

@@ -55,7 +55,6 @@ class DiscretePair:
 
     p: np.ndarray
     q: np.ndarray
-    support: Optional[np.ndarray] = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -256,19 +255,18 @@ def weight_representation(gen: BregmanGenerator, r: float, rhat: float,
 def diamond_transform(phi01: ScalarMap,
                       phi01_d1: ScalarMap,
                       phi01_d2: ScalarMap,
-                      phi01_d3: Optional[ScalarMap] = None,
-                      edge_tol: float = 1e-12) -> BregmanGenerator:
+                      phi01_d3: Optional[ScalarMap] = None) -> BregmanGenerator:
     """Lift a convex function on [0, 1) to a generator on [0, inf).
 
     The transform is z -> (1+z) * phi01(z / (1+z)).  Its Bregman
     divergence relates to the one of phi01 by
     (1+x) d_{phi01}(x/(1+x), y/(1+y)) = d_{transform}(x, y).
-    Raises if the inner argument lands within edge_tol of 1.
+    Raises if the inner argument lands within 1e-12 of 1.
     """
     def inner(z):
         z = np.maximum(np.asarray(z, dtype=float), DOMAIN_EPS)
         u = z / (1.0 + z)
-        if np.any(u > 1.0 - edge_tol):
+        if np.any(u > 1.0 - 1e-12):
             raise ValueError("inner argument too close to 1; z is too large")
         return z, u
 

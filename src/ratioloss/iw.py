@@ -22,7 +22,7 @@ Predictor = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class WeightedRegressionTask:
-    """Inputs, targets, nonnegative per-sample weights, and the ridge setup."""
+    """Inputs, 1-d targets, nonnegative weights, and the ridge setup."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -34,6 +34,8 @@ class WeightedRegressionTask:
         xs = as_points(self.xs)
         ys = np.asarray(self.ys, dtype=float)
         w = np.asarray(self.weights, dtype=float)
+        if ys.ndim != 1:
+            raise ValueError("ys must be 1-d")
         if len(ys) != len(xs) or len(w) != len(xs):
             raise ValueError("xs, ys, weights must have matching lengths")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
@@ -46,16 +48,14 @@ class WeightedRegressionTask:
 
 
 def weighted_risk(f: Predictor, xs, ys, weights) -> float:
-    """(1/N) sum_i w_i |y_i - f(x_i)|^2."""
+    """(1/N) sum_i w_i (y_i - f(x_i))^2 for 1-d targets ys."""
     xs = as_points(xs)
     ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1:
+        raise ValueError("ys must be 1-d")
     w = np.asarray(weights, dtype=float)
     resid = ys - np.asarray(f(xs), dtype=float).reshape(ys.shape)
-    if resid.ndim == 1:
-        sq = resid ** 2
-    else:
-        sq = np.sum(resid ** 2, axis=tuple(range(1, resid.ndim)))
-    return float(np.mean(w * sq))
+    return float(np.mean(w * resid ** 2))
 
 
 def weighted_krr(task: WeightedRegressionTask) -> np.ndarray:
@@ -69,8 +69,7 @@ def weighted_krr(task: WeightedRegressionTask) -> np.ndarray:
     n = len(task.xs)
     lhs = task.weights[:, None] * k_matrix / n
     lhs[np.diag_indices(n)] += task.alpha + GRAM_JITTER
-    rhs = task.weights * task.ys / n if task.ys.ndim == 1 else \
-        task.weights[:, None] * task.ys / n
+    rhs = task.weights * task.ys / n
     try:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:

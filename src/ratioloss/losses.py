@@ -137,8 +137,6 @@ class CompositeLoss:
     inv_link: ScalarMap
     ratio_map: RatioMap
     generator: BregmanGenerator
-    c1: float = 0.0
-    c2: float = 0.0
     score_bounds: tuple = (-np.inf, np.inf)
 
     def link(self, eta):
@@ -199,7 +197,7 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
                          ell_pos1=ell_pos1, ell_neg1=ell_neg1,
                          ell_pos2=ell_pos2, ell_neg2=ell_neg2,
                          inv_link=inv_link,
-                         ratio_map=rmap, generator=gen, c1=c1, c2=c2,
+                         ratio_map=rmap, generator=gen,
                          score_bounds=(float(score_bounds[0]),
                                        float(score_bounds[1])))
 
@@ -320,14 +318,13 @@ def bayes_risk(loss: CompositeLoss, eta: float) -> float:
     return conditional_risk(loss, eta, loss.link(eta))
 
 
-def shuford_weight(loss: CompositeLoss, eta: float,
-                   rel_tol: float = 1e-7) -> float:
+def shuford_weight(loss: CompositeLoss, eta: float) -> float:
     """The properness weight w(eta) of the underlying proper loss.
 
     Computed twice, from each partial loss:
         w = lambda_pos'(eta) / (eta - 1) = lambda_neg'(eta) / eta,
     where lambda_y(eta) = ell_y(Psi(eta)).  The two values must agree to
-    rel_tol or a CertificationError is raised; their mean is returned.
+    1e-7 relative or a CertificationError is raised; their mean is returned.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie strictly inside (0, 1)")
@@ -337,7 +334,7 @@ def shuford_weight(loss: CompositeLoss, eta: float,
     r_pos = float(loss.ell_pos1(y)) * psi1 / (eta - 1.0)
     r_neg = float(loss.ell_neg1(y)) * psi1 / eta
     denom = max(abs(r_pos), abs(r_neg), 1e-300)
-    if abs(r_pos - r_neg) / denom > rel_tol:
+    if abs(r_pos - r_neg) / denom > 1e-7:
         raise CertificationError(
             f"partial-loss weight ratios disagree at eta={eta}: "
             f"{r_pos!r} vs {r_neg!r}")

@@ -157,23 +157,16 @@ class RegressionTask:
     src_xs: np.ndarray
     src_ys: np.ndarray
     tgt_xs: np.ndarray
-    tgt_ys: np.ndarray
-    noise_sigma: float
 
 
 def regression_task(spec: PiecewisePairSpec, n_src: int, n_tgt: int,
                     noise_sigma: float, rng: Rng,
                     name: str = "regression") -> RegressionTask:
-    """Noisy observations of the target function: inputs drawn from Q
-    (source) and from P (target)."""
+    """Inputs drawn from Q (source) with noisy observations of the target
+    function, and unlabelled inputs drawn from P (target)."""
     src = sample_piecewise(spec, "q", n_src, rng, name=f"{name}/src")
     tgt = sample_piecewise(spec, "p", n_tgt, rng, name=f"{name}/tgt")
-    noise_s = rng.stream(f"{name}/noise-src/{n_src}").standard_normal(n_src)
-    noise_t = rng.stream(f"{name}/noise-tgt/{n_tgt}").standard_normal(n_tgt)
-    return RegressionTask(
-        src_xs=src,
-        src_ys=target_function(src) + noise_sigma * noise_s,
-        tgt_xs=tgt,
-        tgt_ys=target_function(tgt) + noise_sigma * noise_t,
-        noise_sigma=float(noise_sigma),
-    )
+    noise = rng.stream(f"{name}/noise-src/{n_src}").standard_normal(n_src)
+    return RegressionTask(src_xs=src,
+                          src_ys=target_function(src) + noise_sigma * noise,
+                          tgt_xs=tgt)

@@ -409,6 +409,79 @@ def test_eval_model_file_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "z")]) == 1
         assert capsys.readouterr().err.startswith(
             "error: gaussian kernel needs sigma > 0")
+    # a malformed kernel or coefficient vector is a usage error that
+    # names the field, not a traceback or a raw matmul message
+    good = json.loads((tmp_path / "fit" / "model.json").read_text())
+    for field, value in (("kernel", {"sigma": 1.0}), ("kernel", "gaussian"),
+                         ("coeffs", good["coeffs"][:-1])):
+        bad.write_text(json.dumps(dict(good, **{field: value})))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(bad),
+                     "--out", str(tmp_path / "z")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file's ") and repr(field) in err
+
+
+def test_write_json_bytes(tmp_path):
+    """numpy scalars and arrays, tuples, NaN and inf, nested and
+    key-sorted, with a trailing newline."""
+    obj = {"f64": np.float64(0.1), "f32": np.float32(0.25),
+           "i": np.int64(-3), "b": np.bool_(False), "a0": np.array(2.5),
+           "a1": np.array([1, 2]), "a2": np.array([[0.5, np.nan],
+                                                   [-np.inf, np.inf]]),
+           "ab": np.array([True, False]), "t": (1, np.float64(-0.0), "x"),
+           "nan": float("nan"), "none": None,
+           "nest": {"z": [np.arange(2.0), (np.int32(7),)],
+                    "a": {"y": np.bool_(True)}}}
+    cli._write_json(str(tmp_path / "w.json"), obj)
+    assert (tmp_path / "w.json").read_text() == """\
+{
+  "a0": 2.5,
+  "a1": [
+    1,
+    2
+  ],
+  "a2": [
+    [
+      0.5,
+      NaN
+    ],
+    [
+      -Infinity,
+      Infinity
+    ]
+  ],
+  "ab": [
+    true,
+    false
+  ],
+  "b": false,
+  "f32": 0.25,
+  "f64": 0.1,
+  "i": -3,
+  "nan": NaN,
+  "nest": {
+    "a": {
+      "y": true
+    },
+    "z": [
+      [
+        0.0,
+        1.0
+      ],
+      [
+        7
+      ]
+    ]
+  },
+  "none": null,
+  "t": [
+    1,
+    -0.0,
+    "x"
+  ]
+}
+"""
 
 
 def test_closed_form_requires_kulsif(tmp_path):

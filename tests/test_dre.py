@@ -130,8 +130,7 @@ def test_fit_validation_and_budget():
 def test_predict_ratio_caps_and_counts():
     kernel = KernelSpec(kind="gaussian", sigma=1.0)
     model = RatioModel(kernel=kernel, centers=np.array([[0.0]]),
-                       coeffs=np.array([2e6]), loss=family_loss("klest"),
-                       alpha=0.0)
+                       coeffs=np.array([2e6]), loss=family_loss("klest"))
     out = predict_ratio(model, np.array([0.0]))
     assert float(out[0]) == 1e6
     assert np.array_equal(model.coeffs, [2e6])

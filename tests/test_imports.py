@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and
-every private module-level name is used somewhere in the library."""
+"""Every name a library module imports is used in that module, every
+private module-level name is used somewhere in the library, and every
+dataclass field is read somewhere."""
 from __future__ import annotations
 
 import ast
@@ -7,7 +8,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ratioloss"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ratioloss"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,3 +91,47 @@ def test_checker_flags_a_dead_private_name():
 def test_library_has_no_dead_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def dataclass_fields(source: str) -> list:
+    """Annotated field names of the dataclasses a module defines."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                for d in node.decorator_list):
+            fields += [stmt.target.id for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)]
+    return fields
+
+
+def dead_fields(sources: dict, readers) -> list:
+    """(file, field) for each dataclass field in sources that no reader
+    source reads as an attribute."""
+    read = {node.attr for source in readers
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((path, name) for path, source in sources.items()
+                  for name in dataclass_fields(source) if name not in read)
+
+
+def test_checker_flags_a_dead_field():
+    sources = {"a.py": ("from dataclasses import dataclass\n"
+                        "@dataclass(frozen=True)\nclass A:\n"
+                        "    x: int\n    y: int = 0\n"
+                        "@dataclass\nclass B:\n    z: float\n"
+                        "    def f(self):\n        return self.x\n"
+                        "class C:\n    w: int\n")}
+    readers = list(sources.values()) + ["def g(b):\n    b.y = b.z\n"]
+    assert dead_fields(sources, readers) == [("a.py", "y")]
+
+
+def test_library_has_no_dead_fields():
+    """A field is dead when no source under src/, tests/ or perfbench/
+    reads an attribute of its name.  The check goes by name alone: a dead
+    field named like an attribute that is read elsewhere, such as alpha,
+    family or k, escapes it."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    readers = [p.read_text() for top in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    assert dead_fields(sources, readers) == []

@@ -30,6 +30,13 @@ def test_task_validation():
     with pytest.raises(ValueError):
         WeightedRegressionTask(xs=xs, ys=np.ones(2), weights=np.ones(2),
                                kernel=kernel, alpha=-0.5)
+    # targets are 1-d: one label per input
+    with pytest.raises(ValueError):
+        WeightedRegressionTask(xs=xs, ys=np.ones((2, 1)), weights=np.ones(2),
+                               kernel=kernel, alpha=0.1)
+    with pytest.raises(ValueError):
+        weighted_risk(lambda x: np.zeros((len(x), 1)), xs, np.ones((2, 1)),
+                      np.ones(2))
 
 
 def test_weighted_krr_first_order_optimality():
