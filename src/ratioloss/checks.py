@@ -35,9 +35,15 @@ _BETA_RANGE = {
 }
 
 
-def _report(group: str, worst: float, tolerance: float, cases: int) -> dict:
+def _worst(residuals) -> float:
+    """Largest case residual; NaN when any case is NaN, so it fails."""
+    return float(np.max(residuals))
+
+
+def _report(group: str, residuals: list, tolerance: float) -> dict:
+    worst = _worst(residuals)
     return {"group": group, "max_residual": worst, "tolerance": tolerance,
-            "cases": cases, "passed": worst <= tolerance}
+            "cases": len(residuals), "passed": worst <= tolerance}
 
 
 def _random_pair(rng: np.random.Generator) -> DiscretePair:
@@ -54,8 +60,7 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
     """Risk gap of a score function equals half the divergence between
     the true ratio and the ratio the score encodes."""
     rng = Rng(seed).stream("check/excess")
-    worst = 0.0
-    cases = 0
+    residuals = []
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
         lo, hi = _BETA_RANGE[name]
@@ -69,24 +74,20 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
             p = beta * pair.q
             pair_safe = DiscretePair(q=pair.q, p=p / p.sum())
             excess, half_breg = excess_risk_identity_check(loss, pair_safe, f)
-            worst = max(worst, abs(excess - half_breg))
-            cases += 1
-    return _report("excess-risk", worst, tolerance, cases)
+            residuals.append(abs(excess - half_breg))
+    return _report("excess-risk", residuals, tolerance)
 
 
 def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict:
     """Both convexity slacks are nonnegative for every canonical family,
     and numerical second derivatives of the partial losses agree."""
     x = np.geomspace(1e-6, 50.0, 400)
-    worst = 0.0
-    cases = 0
+    slack = []  # per point, the lower of the two slacks
     for name in CHECK_FAMILIES:
         gen = builtin_generator(*parse_family(name))
         rmap = canonical_ratio_map(gen)
-        lower, upper = convexity_margin(gen, rmap, x)
-        worst = max(worst, max(0.0, float(-lower.min()), float(-upper.min())))
-        cases += x.size
-    fd_worst = 0.0
+        slack.extend(np.minimum(*convexity_margin(gen, rmap, x)))
+    fd = []  # numerical second derivatives
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
         lo, hi = _BETA_RANGE[name]
@@ -96,12 +97,14 @@ def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict
             for y in ys:
                 h = 0.01 * max(abs(y), 1e-3)
                 num2 = (ell(y + h) - 2.0 * ell(y) + ell(y - h)) / h ** 2
-                fd_worst = max(fd_worst, max(0.0, -float(num2)))
-                cases += 1
+                fd.append(float(num2))
+    # violations are the negative parts
+    worst, fd_worst = (_worst(np.maximum(0.0, np.negative(v)))
+                       for v in (slack, fd))
     passed = worst <= tolerance and fd_worst <= fd_tolerance
-    return {"group": "convexity", "max_residual": max(worst, fd_worst),
-            "tolerance": max(tolerance, fd_tolerance), "cases": cases,
-            "passed": passed,
+    return {"group": "convexity", "max_residual": _worst([worst, fd_worst]),
+            "tolerance": max(tolerance, fd_tolerance),
+            "cases": len(slack) + len(fd), "passed": passed,
             "detail": {"slack_violation": worst, "fd_violation": fd_worst}}
 
 
@@ -111,8 +114,7 @@ def check_weight_representation(seed: int = 0, n_cases: int = 100,
     """Pointwise divergence equals the integral of phi'' against the
     distance-to-threshold weight."""
     rng = Rng(seed).stream("check/weight-repr")
-    worst = 0.0
-    cases = 0
+    residuals = []
     for name in CHECK_FAMILIES:
         gen = builtin_generator(*parse_family(name))
         for _ in range(n_cases):
@@ -121,9 +123,8 @@ def check_weight_representation(seed: int = 0, n_cases: int = 100,
                            - gen.phi1(rhat) * (r - rhat))
             via_weight = weight_representation(gen, float(r), float(rhat),
                                                n_nodes=n_nodes)
-            worst = max(worst, abs(direct - via_weight))
-            cases += 1
-    return _report("weight-representation", worst, tolerance, cases)
+            residuals.append(abs(direct - via_weight))
+    return _report("weight-representation", residuals, tolerance)
 
 
 def check_shuford(seed: int = 0, n_cases: int = 100,
@@ -131,8 +132,7 @@ def check_shuford(seed: int = 0, n_cases: int = 100,
     """Both partial-loss derivative ratios give one weight function, and
     it matches phi''(x) (1+x)^3 at x = eta/(1-eta)."""
     rng = Rng(seed).stream("check/shuford")
-    worst = 0.0
-    cases = 0
+    residuals = []
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
         gen = loss.generator
@@ -142,10 +142,8 @@ def check_shuford(seed: int = 0, n_cases: int = 100,
             eta = x / (1.0 + x)
             w = shuford_weight(loss, eta)  # certifies internal agreement
             closed = float(gen.phi2(x)) * (1.0 + x) ** 3
-            rel = abs(w - closed) / max(abs(closed), 1e-12)
-            worst = max(worst, rel)
-            cases += 1
-    return _report("shuford-weight", worst, tolerance, cases)
+            residuals.append(abs(w - closed) / max(abs(closed), 1e-12))
+    return _report("shuford-weight", residuals, tolerance)
 
 
 def _bayes_risk_deriv(loss: CompositeLoss, eta: float, h: float) -> float:
@@ -166,8 +164,7 @@ def check_savage(seed: int = 0, n_cases: int = 100,
     risk curve: CR(eta, yhat) - BR(etahat) - (eta - etahat) BR'(etahat)
     vanishes when yhat = link(etahat)."""
     rng = Rng(seed).stream("check/savage")
-    worst = 0.0
-    cases = 0
+    residuals = []
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
         lo, hi = _BETA_RANGE[name]
@@ -182,9 +179,8 @@ def check_savage(seed: int = 0, n_cases: int = 100,
             lhs = conditional_risk(loss, eta, yhat)
             rhs = (bayes_risk(loss, eta_hat)
                    + (eta - eta_hat) * _bayes_risk_deriv(loss, eta_hat, h))
-            worst = max(worst, abs(lhs - rhs))
-            cases += 1
-    return _report("savage-regret", worst, tolerance, cases)
+            residuals.append(abs(lhs - rhs))
+    return _report("savage-regret", residuals, tolerance)
 
 
 def check_diamond(seed: int = 0, n_cases: int = 120,
@@ -199,13 +195,11 @@ def check_diamond(seed: int = 0, n_cases: int = 120,
     entropy_d3 = lambda u: 1.0 / (1.0 - u) ** 2 - 1.0 / u ** 2
     dia = diamond_transform(entropy, entropy_d1, entropy_d2, entropy_d3)
     lr = builtin_generator("lr")
-    worst = 0.0
-    cases = 0
+    residuals = []
     for _ in range(n_cases):
         z = float(rng.uniform(0.05, 10.0))
-        worst = max(worst, abs(dia.phi(z) - lr.phi(z)),
-                    abs(dia.phi2(z) - lr.phi2(z)))
-        cases += 1
+        residuals.append(np.maximum(abs(dia.phi(z) - lr.phi(z)),
+                                    abs(dia.phi2(z) - lr.phi2(z))))
     # transported pointwise divergence: (1+x) d01(x/(1+x), y/(1+y))
     for _ in range(n_cases):
         x, y = rng.uniform(0.05, 10.0, 2)
@@ -214,9 +208,8 @@ def check_diamond(seed: int = 0, n_cases: int = 120,
                - (np.log(v) - np.log1p(-v)) * (u - v))
         lhs = (1.0 + x) * d01
         rhs = (dia.phi(x) - dia.phi(y) - dia.phi1(y) * (x - y))
-        worst = max(worst, abs(lhs - rhs))
-        cases += 1
-    return _report("diamond-transform", worst, tolerance, cases)
+        residuals.append(abs(lhs - rhs))
+    return _report("diamond-transform", residuals, tolerance)
 
 
 def check_affine_invariance(seed: int = 0, n_cases: int = 60,
@@ -224,8 +217,7 @@ def check_affine_invariance(seed: int = 0, n_cases: int = 60,
     """Adding a + b x to the generator leaves every divergence value
     unchanged."""
     rng = Rng(seed).stream("check/affine")
-    worst = 0.0
-    cases = 0
+    residuals = []
     for name in ("kulsif", "lr", "klest", "boost"):
         gen = builtin_generator(name)
         for _ in range(n_cases):
@@ -240,9 +232,8 @@ def check_affine_invariance(seed: int = 0, n_cases: int = 60,
             rhat = rng.uniform(0.2, 3.0, pair.q.size)
             d0 = divergence_discrete(gen, pair, rhat)
             d1 = divergence_discrete(shifted, pair, rhat)
-            worst = max(worst, abs(d0 - d1))
-            cases += 1
-    return _report("affine-invariance", worst, tolerance, cases)
+            residuals.append(abs(d0 - d1))
+    return _report("affine-invariance", residuals, tolerance)
 
 
 def properness_residuals(loss: CompositeLoss, etas: Sequence[float],
@@ -282,10 +273,6 @@ CHECK_GROUPS: dict[str, Callable[..., dict]] = {
 
 def run_all(seed: int = 0) -> dict:
     """Run every identity group.  Returns {"groups": [...], "passed": bool}."""
-    groups = []
-    for name, fn in CHECK_GROUPS.items():
-        if name == "convexity":
-            groups.append(fn())
-        else:
-            groups.append(fn(seed=seed))
+    groups = [fn() if name == "convexity" else fn(seed=seed)
+              for name, fn in CHECK_GROUPS.items()]
     return {"groups": groups, "passed": all(g["passed"] for g in groups)}

@@ -48,12 +48,13 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: str, header: list, columns: list) -> None:
-    cols = [np.asarray(c, dtype=float) for c in columns]
+def _write_csv(path: str, columns: list) -> None:
+    """columns: (name, values) pairs in order; names may repeat."""
+    cols = [np.asarray(c, dtype=float) for _, c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValueError("csv columns have unequal lengths")
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(name for name, _ in columns) + "\n")
         for row in zip(*cols):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -81,8 +82,8 @@ def _alpha(x):
     if isinstance(x, str) and x.strip() == "cv":
         return "cv"
     v = float(x)
-    if v < 0:
-        raise ValueError("alpha must be nonnegative or 'cv'")
+    if not 0.0 <= v < np.inf:
+        raise ValueError("alpha must be finite and nonnegative, or 'cv'")
     return v
 
 
@@ -241,11 +242,10 @@ def cmd_loss_show(o: dict) -> int:
     beta = np.linspace(o["beta_lo"], o["beta_hi"], o["n"])
     yhat = loss.ratio_map.g_inv(beta)
     lower, upper = convexity_margin(gen, loss.ratio_map, beta)
-    _write_csv(os.path.join(out, "loss.csv"),
-               ["yhat", "ell_pos", "ell_neg", "eta_hat", "beta_hat",
-                "slack_lower", "slack_upper"],
-               [yhat, loss.ell_pos(yhat), loss.ell_neg(yhat),
-                loss.inv_link(yhat), beta, lower, upper])
+    _write_csv(os.path.join(out, "loss.csv"), [
+        ("yhat", yhat), ("ell_pos", loss.ell_pos(yhat)),
+        ("ell_neg", loss.ell_neg(yhat)), ("eta_hat", loss.inv_link(yhat)),
+        ("beta_hat", beta), ("slack_lower", lower), ("slack_upper", upper)])
     _write_json(os.path.join(out, "loss.json"),
                 {"family": o["family"], "k": o["k"], "c1": o["c1"],
                  "c2": o["c2"], "beta_lo": o["beta_lo"],
@@ -354,8 +354,8 @@ def cmd_eval(o: dict) -> int:
         pts = np.linspace(o["grid_lo"], o["grid_hi"], o["grid_n"])[:, None]
 
     bh = predict_ratio(model, pts)
-    header = [f"x{i}" for i in range(pts.shape[1])] + ["beta_hat"]
-    columns = [pts[:, i] for i in range(pts.shape[1])] + [bh]
+    columns = [(f"x{i}", pts[:, i]) for i in range(pts.shape[1])]
+    columns.append(("beta_hat", bh))
     capped = (bh <= DOMAIN_EPS) | (bh >= RATIO_CAP)
     metrics = {"n_points": len(pts), "mean_beta_hat": float(np.mean(bh)),
                "max_beta_hat": float(np.max(bh)),
@@ -368,10 +368,9 @@ def cmd_eval(o: dict) -> int:
         else:
             _, exact_fn = gaussian_pair()
             exact = exact_fn(pts[:, 0])
-        header.append("beta_exact")
-        columns.append(exact)
+        columns.append(("beta_exact", exact))
         metrics["sup_abs_error"] = float(np.max(np.abs(bh - exact)))
-    _write_csv(os.path.join(out, "predictions.csv"), header, columns)
+    _write_csv(os.path.join(out, "predictions.csv"), columns)
     _write_json(os.path.join(out, "eval.json"), metrics)
     return 0
 
@@ -381,12 +380,10 @@ def cmd_fig1(o: dict) -> int:
     res = figure1(quad_nodes=o["quad_nodes"], max_iter=o["max_iter"])
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])
-    header = ["x", "beta"]
-    columns = [grid, piecewise_beta(spec, grid)]
-    for name in FIGURE1_FAMILIES:
-        header.append(f"betahat_{name}")
-        columns.append(res["fits"][name].beta_hat(grid))
-    _write_csv(os.path.join(out, "fig1_curves.csv"), header, columns)
+    _write_csv(os.path.join(out, "fig1_curves.csv"), [
+        ("x", grid), ("beta", piecewise_beta(spec, grid)),
+        *((f"betahat_{name}", res["fits"][name].beta_hat(grid))
+          for name in FIGURE1_FAMILIES)])
     sups = res["sup_errors"]
     ranking = sorted(sups, key=lambda n: sups[n])
     _write_json(os.path.join(out, "fig1_summary.json"), {
@@ -404,18 +401,16 @@ def cmd_fig2(o: dict) -> int:
                   n_seeds=o["n_seeds"], grid_lo=o["grid_lo"],
                   grid_hi=o["grid_hi"], grid_n=o["grid_n"],
                   max_iter=o["max_iter"])
-    header = ["x", "beta_exact"]
-    columns = [res["grid"], res["exact_beta"]]
+    columns = [("x", res["grid"]), ("beta_exact", res["exact_beta"])]
     cells_doc = []
     for cell in res["cells"]:
         tag = f"{cell.family}_n{cell.size}_a{cell.alpha:g}"
-        header.append(f"betahat_{tag}")
-        columns.append(cell.curve)
+        columns.append((f"betahat_{tag}", cell.curve))
         cells_doc.append({"family": cell.family, "size": cell.size,
                           "alpha": cell.alpha, "max_abs": cell.max_abs,
                           "median_max_abs": cell.median_max_abs,
                           "unconverged": cell.unconverged})
-    _write_csv(os.path.join(out, "fig2_curves.csv"), header, columns)
+    _write_csv(os.path.join(out, "fig2_curves.csv"), columns)
     _write_json(os.path.join(out, "fig2_summary.json"), {"cells": cells_doc})
     return 0
 
@@ -428,12 +423,10 @@ def cmd_fig3(o: dict) -> int:
                   max_iter=o["max_iter"], l2_nodes=o["l2_nodes"])
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])
-    header = ["x", "f_target"]
-    columns = [grid, target_function(grid)]
-    for name in ("uniform", "exact", "ew", "lr"):
-        header.append(f"fhat_{name}")
-        columns.append(res["predictors"][name](grid))
-    _write_csv(os.path.join(out, "fig3_curves.csv"), header, columns)
+    _write_csv(os.path.join(out, "fig3_curves.csv"), [
+        ("x", grid), ("f_target", target_function(grid)),
+        *((f"fhat_{name}", res["predictors"][name](grid))
+          for name in ("uniform", "exact", "ew", "lr"))])
     _write_json(os.path.join(out, "fig3_summary.json"), {
         "l2p_sq": res["l2p_sq"],
         "l2q_sq": res["l2q_sq"],

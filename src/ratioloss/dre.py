@@ -23,7 +23,6 @@ from .kernels import (GRAM_JITTER, KernelSpec, as_points, gram, median_gram,
                       median_heuristic)
 from .losses import CompositeLoss, family_loss
 from .optim import bfgs
-from .quadrature import simpson_nodes, simpson_weights
 from .synth import PiecewisePairSpec, Rng, piecewise_beta
 
 CLAMP_BUDGET = 0.05
@@ -134,8 +133,8 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     outside the ratio map's usable range, which signals a diverged or
     degenerate fit rather than a usable estimator.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     centers = samples.pooled
     pos = samples.labels > 0
     kernel, g_matrix = _training_gram(kernel, centers)
@@ -185,6 +184,8 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     only backward-stable, not accurate to more than a few digits.
     A median sigma is resolved as in fit.
     """
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
     centers = samples.pooled
     labels = samples.labels
     n = labels.size
@@ -416,19 +417,8 @@ def population_fit_parametric(gen: BregmanGenerator,
     floored at the generator's domain floor with a flat (zero-gradient)
     extension below it.
     """
-    if quad_nodes < 3 or quad_nodes % 2 == 0:
-        raise ValueError("quad_nodes must be odd and >= 3")
-    edges = spec.edges
-    p_levels = np.asarray(spec.p_levels)
-    q_levels = np.asarray(spec.q_levels)
     eps = gen.domain_eps
-
-    pieces = []
-    for i in range(len(q_levels)):
-        lo, hi = edges[i], edges[i + 1]
-        pieces.append((simpson_nodes(lo, hi, quad_nodes),
-                       simpson_weights(lo, hi, quad_nodes),
-                       p_levels[i] / q_levels[i], q_levels[i]))
+    pieces = list(spec.pieces(quad_nodes))
 
     def obj(z):
         t1, tau = z
@@ -436,7 +426,8 @@ def population_fit_parametric(gen: BregmanGenerator,
         value = 0.0
         g1 = 0.0
         g2 = 0.0
-        for xs, w, beta_level, q_level in pieces:
+        for xs, w, p_level, q_level in pieces:
+            beta_level = p_level / q_level
             bh = t1 * xs ** 2 + t2
             inside = bh > eps
             bh_c = np.maximum(bh, eps)

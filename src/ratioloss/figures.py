@@ -16,7 +16,6 @@ from .dre import (SampleSet, _run_jobs, fit, kulsif_fit_closed_form,
 from .generators import builtin_generator, parse_family
 from .kernels import MEDIAN, KernelSpec, gram
 from .losses import family_loss
-from .quadrature import simpson_nodes, simpson_weights
 from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
                     regression_task, target_function)
 from .iw import WeightedRegressionTask, krr_predictor, weighted_krr
@@ -148,10 +147,7 @@ def figure3(seed: int = 0, n_src: int = 200, n_tgt: int = 200,
     # measures share one Gram on each piece's Simpson nodes
     l2p_sq = dict.fromkeys(weightings, 0.0)
     l2q_sq = dict.fromkeys(weightings, 0.0)
-    edges = spec.edges
-    for i, (p_level, q_level) in enumerate(zip(spec.p_levels, spec.q_levels)):
-        xs = simpson_nodes(edges[i], edges[i + 1], l2_nodes)
-        w = simpson_weights(edges[i], edges[i + 1], l2_nodes)
+    for xs, w, p_level, q_level in spec.pieces(l2_nodes):
         target = target_function(xs)
         k_nodes = gram(kernel, xs, src)
         for name in weightings:

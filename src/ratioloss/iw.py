@@ -40,8 +40,8 @@ class WeightedRegressionTask:
             raise ValueError("xs, ys, weights must have matching lengths")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "weights", w)

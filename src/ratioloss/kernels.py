@@ -30,8 +30,9 @@ class KernelSpec:
             if self.sigma != MEDIAN and not _positive(self.sigma):
                 raise ValueError("gaussian kernel needs sigma > 0 or 'median'")
         elif self.kind == "polynomial":
-            if self.degree is None or int(self.degree) < 1:
-                raise ValueError("polynomial kernel needs degree >= 1")
+            if not (isinstance(self.degree, (int, np.integer))
+                    and self.degree >= 1):
+                raise ValueError("polynomial kernel needs an integer degree >= 1")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
@@ -98,7 +99,7 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     # in place, so the product is the only n x m array
     k = x @ y.T
     k += spec.offset
-    return np.power(k, int(spec.degree), out=k)
+    return np.power(k, spec.degree, out=k)
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:

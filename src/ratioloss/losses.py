@@ -334,7 +334,7 @@ def shuford_weight(loss: CompositeLoss, eta: float) -> float:
     r_pos = float(loss.ell_pos1(y)) * psi1 / (eta - 1.0)
     r_neg = float(loss.ell_neg1(y)) * psi1 / eta
     denom = max(abs(r_pos), abs(r_neg), 1e-300)
-    if abs(r_pos - r_neg) / denom > 1e-7:
+    if not abs(r_pos - r_neg) / denom <= 1e-7:  # NaN disagrees too
         raise CertificationError(
             f"partial-loss weight ratios disagree at eta={eta}: "
             f"{r_pos!r} vs {r_neg!r}")

@@ -6,20 +6,24 @@ from typing import Callable
 import numpy as np
 
 
-def simpson_nodes(lo: float, hi: float, n_nodes: int) -> np.ndarray:
-    """Uniform node grid for the composite Simpson rule.
-
-    n_nodes must be odd and >= 3 so the interval splits into an even
-    number of panels.
-    """
+def _check_rule(lo: float, hi: float, n_nodes: int) -> None:
+    """A finite interval lo < hi and an odd n_nodes >= 3, so the interval
+    splits into an even number of panels."""
     if not np.isfinite(lo) or not np.isfinite(hi) or hi <= lo:
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError(f"Simpson rule needs an odd node count >= 3, got {n_nodes}")
+
+
+def simpson_nodes(lo: float, hi: float, n_nodes: int) -> np.ndarray:
+    """Uniform node grid for the composite Simpson rule."""
+    _check_rule(lo, hi, n_nodes)
     return np.linspace(lo, hi, n_nodes)
 
 
 def simpson_weights(lo: float, hi: float, n_nodes: int) -> np.ndarray:
+    """Composite Simpson weights on simpson_nodes(lo, hi, n_nodes)."""
+    _check_rule(lo, hi, n_nodes)
     h = (hi - lo) / (n_nodes - 1)
     w = np.ones(n_nodes)
     w[1:-1:2] = 4.0

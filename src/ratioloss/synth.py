@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import simpson_nodes, simpson_weights
+
 
 @dataclass(frozen=True)
 class Rng:
@@ -69,6 +71,15 @@ class PiecewisePairSpec:
     def widths(self) -> np.ndarray:
         e = self.edges
         return e[1:] - e[:-1]
+
+    def pieces(self, n_nodes: int):
+        """Yield (nodes, weights, p_level, q_level) one piece at a time: the
+        composite Simpson rule on n_nodes points of the piece, and its levels."""
+        e = self.edges
+        for lo, hi, p_level, q_level in zip(e[:-1], e[1:], self.p_levels,
+                                            self.q_levels):
+            yield (simpson_nodes(lo, hi, n_nodes),
+                   simpson_weights(lo, hi, n_nodes), p_level, q_level)
 
     def piece_index(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ratioloss import CHECK_GROUPS, family_loss, properness_residuals, run_all
+from ratioloss import (CHECK_GROUPS, checks, family_loss, properness_residuals,
+                       run_all)
 
 # regression guards: the observed residuals sit orders of magnitude
 # below the advertised tolerances, and seeds are fixed, so tightened
@@ -64,3 +65,51 @@ def test_improper_loss_is_detected():
         ell_pos2=lambda y: 1.5 * loss.ell_pos2(y))
     res = properness_residuals(broken, [0.3, 0.6])
     assert float(np.min(res)) > 1e-2
+
+
+def test_a_nan_case_fails_its_group(monkeypatch):
+    # one NaN among finite residuals: the report carries NaN and fails,
+    # where a running max(worst, r) would drop it and pass
+    real = checks.weight_representation
+    calls = []
+
+    def first_call_nan(*args, **kwargs):
+        calls.append(None)
+        return np.nan if len(calls) == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "weight_representation", first_call_nan)
+    g = checks.check_weight_representation(seed=0, n_cases=5)
+    assert np.isnan(g["max_residual"])
+    assert not g["passed"]
+    assert g["cases"] == 5 * len(checks.CHECK_FAMILIES)
+
+
+def test_a_nan_slack_fails_convexity(monkeypatch):
+    real = checks.convexity_margin
+
+    def nan_slack(gen, rmap, x):
+        lower, upper = real(gen, rmap, x)
+        lower = lower.copy()
+        lower[0] = np.nan
+        return lower, upper
+
+    monkeypatch.setattr(checks, "convexity_margin", nan_slack)
+    g = checks.check_convexity()
+    assert not g["passed"]
+    assert np.isnan(g["max_residual"])
+    assert np.isnan(g["detail"]["slack_violation"])
+    assert g["detail"]["fd_violation"] <= 1e-8
+
+
+def test_a_nan_second_difference_fails_convexity(monkeypatch):
+    def nan_neg_loss(*args, **kwargs):
+        loss = family_loss(*args, **kwargs)
+        return dataclasses.replace(loss, ell_neg=lambda y: np.nan * y)
+
+    monkeypatch.setattr(checks, "family_loss", nan_neg_loss)
+    g = checks.check_convexity()
+    assert not g["passed"]
+    assert np.isnan(g["max_residual"])
+    assert np.isnan(g["detail"]["fd_violation"])
+    assert g["detail"]["slack_violation"] == 0.0
+    assert g["cases"] == 8 * 400 + 8 * 2 * 60

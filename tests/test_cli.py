@@ -420,6 +420,14 @@ def test_eval_model_file_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "z")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model file's ") and repr(field) in err
+    # a fractional polynomial degree is refused, not truncated to an integer
+    bad.write_text(json.dumps(dict(good, kernel={
+        "kind": "polynomial", "sigma": None, "degree": 2.5, "offset": 1.0})))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(bad),
+                 "--out", str(tmp_path / "z")]) == 1
+    assert capsys.readouterr().err == (
+        "error: polynomial kernel needs an integer degree >= 1\n")
 
 
 def test_write_json_bytes(tmp_path):
@@ -523,6 +531,41 @@ def test_fig_commands_reduced(tmp_path):
                  "--out", str(f3)]) == 0
     summary = json.loads((f3 / "fig3_summary.json").read_text())
     assert set(summary["l2p_sq"]) == {"uniform", "exact", "ew", "lr"}
+
+
+def test_fig2_repeated_size_keeps_both_columns(tmp_path):
+    # columns are (name, values) pairs, so a repeated cell name is written
+    # twice rather than collapsed
+    out = tmp_path / "f2"
+    assert main(["fig2", "--sizes", "10,10", "--alphas", "0.01",
+                 "--n-seeds", "1", "--grid-n", "5", "--max-iter", "40",
+                 "--out", str(out)]) == 0
+    lines = (out / "fig2_curves.csv").read_text().splitlines()
+    assert lines[0] == ("x,beta_exact,betahat_kulsif_n10_a0.01,"
+                        "betahat_kulsif_n10_a0.01,betahat_ew_n10_a0.01,"
+                        "betahat_ew_n10_a0.01")
+    assert len(lines) == 6
+    assert all(len(line.split(",")) == 6 for line in lines[1:])
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_alpha_is_a_usage_error(tmp_path, capsys,
+                                                        alpha):
+    assert main(["fit", "--family", "kulsif", "--solver", "closed-form",
+                 "--alpha", alpha, "--out", str(tmp_path / "fit")]) == 1
+    assert capsys.readouterr().err == (
+        "error: alpha must be finite and nonnegative, or 'cv'\n")
+    assert main(["fig3", "--alpha", alpha, "--n-src", "20", "--n-tgt", "20",
+                 "--quad-nodes", "101", "--l2-nodes", "101", "--max-iter", "20",
+                 "--grid-n", "5", "--out", str(tmp_path / "f3")]) == 1
+    assert capsys.readouterr().err == (
+        "error: alpha must be finite and nonnegative\n")
+
+
+def test_even_quad_nodes_is_a_usage_error(tmp_path, capsys):
+    assert main(["fig1", "--quad-nodes", "4", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Simpson rule needs an odd node count >= 3, got 4\n")
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -119,8 +119,13 @@ def test_bfgs_fit_matches_closed_form(seed, n, alpha):
 def test_fit_validation_and_budget():
     s = small_samples()
     kernel = KernelSpec(kind="gaussian", sigma=1.0)
-    with pytest.raises(ValueError):
-        fit(s, family_loss("lr"), kernel, alpha=-0.1)
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            fit(s, family_loss("lr"), kernel, alpha=alpha)
+    # a negative alpha would otherwise be solved as alpha 0
+    for alpha in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            kulsif_fit_closed_form(s, kernel, alpha=alpha)
     # a degenerate bounds pair marks every score as out of range
     loss = dataclasses.replace(family_loss("lr"), score_bounds=(0.0, 0.0))
     with pytest.raises(FitError):

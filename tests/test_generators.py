@@ -1,5 +1,7 @@
 """Builtin Bregman generators: point values, derivative consistency,
 divergence identities, and pair validation."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -205,3 +207,9 @@ def test_affine_shift_leaves_divergence_unchanged():
     d0 = divergence_discrete(gen, pair, rhat)
     d1 = divergence_discrete(shifted, pair, rhat)
     assert d0 == pytest.approx(d1, abs=1e-13)
+
+
+def test_derivative_consistency_reports_a_nan_derivative():
+    gen = builtin_generator("lr")
+    broken = dataclasses.replace(gen, phi2=lambda x: np.nan * np.asarray(x))
+    assert np.isnan(derivative_consistency(broken, np.linspace(0.5, 2.0, 7)))

@@ -27,9 +27,10 @@ def test_task_validation():
         WeightedRegressionTask(xs=xs, ys=np.ones(2),
                                weights=np.array([1.0, -1.0]),
                                kernel=kernel, alpha=0.1)
-    with pytest.raises(ValueError):
-        WeightedRegressionTask(xs=xs, ys=np.ones(2), weights=np.ones(2),
-                               kernel=kernel, alpha=-0.5)
+    for alpha in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            WeightedRegressionTask(xs=xs, ys=np.ones(2), weights=np.ones(2),
+                                   kernel=kernel, alpha=alpha)
     # targets are 1-d: one label per input
     with pytest.raises(ValueError):
         WeightedRegressionTask(xs=xs, ys=np.ones((2, 1)), weights=np.ones(2),

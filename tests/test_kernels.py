@@ -19,6 +19,9 @@ def test_kernel_spec_validation():
         KernelSpec(kind="polynomial")
     with pytest.raises(ValueError):
         KernelSpec(kind="polynomial", degree=0)
+    for degree in (2.5, 3.0, "3"):  # an integer degree, not one truncated
+        with pytest.raises(ValueError):
+            KernelSpec(kind="polynomial", degree=degree)
     with pytest.raises(ValueError):
         KernelSpec(kind="laplace", sigma=1.0)
 

@@ -314,3 +314,11 @@ def test_excess_risk_identity_property(b1, b2, q1):
         f = loss.ratio_map.g_inv(np.array([b1, b2]))
         excess, half_breg = excess_risk_identity_check(loss, pair, f)
         assert excess == pytest.approx(half_breg, abs=1e-10)
+
+
+def test_shuford_weight_rejects_a_nan_partial():
+    loss = make_loss("lr")
+    broken = dataclasses.replace(
+        loss, ell_neg1=lambda y: np.nan * np.asarray(y))
+    with pytest.raises(CertificationError):
+        shuford_weight(broken, 0.4)

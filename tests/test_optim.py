@@ -418,3 +418,11 @@ def test_linear_objective_matches_the_plain_protocol():
     assert res.status == ref.status == "converged"
     assert res.iterations == ref.iterations
     assert np.allclose(res.x_star, b, atol=1e-8)
+
+
+def test_grad_check_reports_a_nan_gradient():
+    def obj(x):
+        g = 2.0 * x
+        g[1] = np.nan
+        return float(x @ x), g
+    assert np.isnan(grad_check(obj, np.array([1.0, -2.0, 0.5])))

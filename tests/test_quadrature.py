@@ -54,3 +54,13 @@ def test_quadratic_integrals_match_antiderivative(a, b):
     exact = (hi ** 3 - a ** 3) / 3.0 - (hi - a)
     got = integrate(lambda x: x ** 2 - 1.0, a, hi, 41)
     assert abs(got - exact) < 1e-10 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("n_nodes", [2, 4, 100, 1, 0])
+def test_weights_reject_what_nodes_reject(n_nodes):
+    # 4 nodes would give weights summing to 8/9 on [0, 1]; 1 node a
+    # division by zero
+    with pytest.raises(ValueError):
+        simpson_weights(0.0, 1.0, n_nodes)
+    with pytest.raises(ValueError):
+        simpson_weights(1.0, 0.0, 5)

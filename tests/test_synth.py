@@ -132,3 +132,16 @@ def test_random_specs_validate_and_sample(p_mass, q_mass, raw_bp):
     xs = sample_piecewise(spec, "p", 64, Rng(9))
     assert np.all((xs >= -1.0) & (xs <= 1.0))
     assert np.all(piecewise_beta(spec, xs) > 0.0)
+
+
+def test_pieces_integrate_each_density_to_one():
+    spec = default_pair()
+    pieces = list(spec.pieces(5))
+    assert len(pieces) == len(spec.p_levels)
+    for (xs, w, _, _), lo, hi in zip(pieces, spec.edges[:-1], spec.edges[1:]):
+        assert xs[0] == lo and xs[-1] == hi and xs.shape == w.shape == (5,)
+    for which in (2, 3):
+        assert sum(float(p[1].sum()) * p[which] for p in pieces) == (
+            pytest.approx(1.0, abs=1e-12))
+    with pytest.raises(ValueError):
+        list(spec.pieces(4))
