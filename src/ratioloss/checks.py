@@ -27,12 +27,19 @@ CHECK_FAMILIES = ("kulsif", "lr", "klest", "boost", "poly0", "poly1",
 
 # Score ranges kept inside each family's numerically comfortable zone:
 # ratios stay in roughly [0.15, 4] so fourth-order terms in the
-# finite-difference checks remain small.
-_BETA_RANGE = {
-    "kulsif": (0.15, 4.0), "lr": (0.15, 4.0), "klest": (0.15, 4.0),
-    "boost": (0.15, 4.0), "poly0": (0.15, 4.0), "poly1": (0.15, 4.0),
-    "poly6": (0.2, 2.0), "ew": (0.15, 2.5),
-}
+# finite-difference checks remain small; poly6 and ew need narrower ones.
+_BETA_RANGE = {"poly6": (0.2, 2.0), "ew": (0.15, 2.5)}
+_DEFAULT_BETA_RANGE = (0.15, 4.0)
+
+
+def _family_cases(n_cases: int):
+    """Yield (loss, lo, hi) n_cases // len(CHECK_FAMILIES) + 1 times per
+    family, in CHECK_FAMILIES order, with the family's ratio range."""
+    for name in CHECK_FAMILIES:
+        loss = family_loss(*parse_family(name))
+        lo, hi = _BETA_RANGE.get(name, _DEFAULT_BETA_RANGE)
+        for _ in range(n_cases // len(CHECK_FAMILIES) + 1):
+            yield loss, lo, hi
 
 
 def _worst(residuals) -> float:
@@ -61,20 +68,17 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
     the true ratio and the ratio the score encodes."""
     rng = Rng(seed).stream("check/excess")
     residuals = []
-    for name in CHECK_FAMILIES:
-        loss = family_loss(*parse_family(name))
-        lo, hi = _BETA_RANGE[name]
-        for _ in range(n_pairs // len(CHECK_FAMILIES) + 1):
-            pair = _random_pair(rng)
-            # scores encode a perturbed ratio within the safe range
-            beta_enc = rng.uniform(lo, hi, pair.q.size)
-            f = loss.ratio_map.g_inv(beta_enc)
-            # clip the true ratio into range by rescaling p where needed
-            beta = np.clip(pair.beta, lo, hi)
-            p = beta * pair.q
-            pair_safe = DiscretePair(q=pair.q, p=p / p.sum())
-            excess, half_breg = excess_risk_identity_check(loss, pair_safe, f)
-            residuals.append(abs(excess - half_breg))
+    for loss, lo, hi in _family_cases(n_pairs):
+        pair = _random_pair(rng)
+        # scores encode a perturbed ratio within the safe range
+        beta_enc = rng.uniform(lo, hi, pair.q.size)
+        f = loss.ratio_map.g_inv(beta_enc)
+        # clip the true ratio into range by rescaling p where needed
+        beta = np.clip(pair.beta, lo, hi)
+        p = beta * pair.q
+        pair_safe = DiscretePair(q=pair.q, p=p / p.sum())
+        excess, half_breg = excess_risk_identity_check(loss, pair_safe, f)
+        residuals.append(abs(excess - half_breg))
     return _report("excess-risk", residuals, tolerance)
 
 
@@ -83,14 +87,13 @@ def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict
     and numerical second derivatives of the partial losses agree."""
     x = np.geomspace(1e-6, 50.0, 400)
     slack = []  # per point, the lower of the two slacks
-    for name in CHECK_FAMILIES:
-        gen = builtin_generator(*parse_family(name))
-        rmap = canonical_ratio_map(gen)
-        slack.extend(np.minimum(*convexity_margin(gen, rmap, x)))
     fd = []  # numerical second derivatives
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
-        lo, hi = _BETA_RANGE[name]
+        gen = loss.generator
+        margins = convexity_margin(gen, canonical_ratio_map(gen), x)
+        slack.extend(np.minimum(*margins))
+        lo, hi = _BETA_RANGE.get(name, _DEFAULT_BETA_RANGE)
         ys = loss.ratio_map.g_inv(np.linspace(lo, hi, 60))
         for label in (1, -1):
             ell = loss.ell_pos if label == 1 else loss.ell_neg
@@ -133,16 +136,12 @@ def check_shuford(seed: int = 0, n_cases: int = 100,
     it matches phi''(x) (1+x)^3 at x = eta/(1-eta)."""
     rng = Rng(seed).stream("check/shuford")
     residuals = []
-    for name in CHECK_FAMILIES:
-        loss = family_loss(*parse_family(name))
-        gen = loss.generator
-        lo, hi = _BETA_RANGE[name]
-        for _ in range(n_cases // len(CHECK_FAMILIES) + 1):
-            x = float(rng.uniform(lo, hi))
-            eta = x / (1.0 + x)
-            w = shuford_weight(loss, eta)  # certifies internal agreement
-            closed = float(gen.phi2(x)) * (1.0 + x) ** 3
-            residuals.append(abs(w - closed) / max(abs(closed), 1e-12))
+    for loss, lo, hi in _family_cases(n_cases):
+        x = float(rng.uniform(lo, hi))
+        eta = x / (1.0 + x)
+        w = shuford_weight(loss, eta)  # certifies internal agreement
+        closed = float(loss.generator.phi2(x)) * (1.0 + x) ** 3
+        residuals.append(abs(w - closed) / max(abs(closed), 1e-12))
     return _report("shuford-weight", residuals, tolerance)
 
 
@@ -165,21 +164,18 @@ def check_savage(seed: int = 0, n_cases: int = 100,
     vanishes when yhat = link(etahat)."""
     rng = Rng(seed).stream("check/savage")
     residuals = []
-    for name in CHECK_FAMILIES:
-        loss = family_loss(*parse_family(name))
-        lo, hi = _BETA_RANGE[name]
-        for _ in range(n_cases // len(CHECK_FAMILIES) + 1):
-            eta = float(rng.uniform(0.05, 0.95))
-            x_hat = float(rng.uniform(lo, hi))
-            eta_hat = x_hat / (1.0 + x_hat)
-            yhat = loss.link(eta_hat)
-            # step keeps the five-point truncation below roundoff even for
-            # the high-curvature families (poly6, ew)
-            h = 1e-4 * min(eta_hat, 1.0 - eta_hat)
-            lhs = conditional_risk(loss, eta, yhat)
-            rhs = (bayes_risk(loss, eta_hat)
-                   + (eta - eta_hat) * _bayes_risk_deriv(loss, eta_hat, h))
-            residuals.append(abs(lhs - rhs))
+    for loss, lo, hi in _family_cases(n_cases):
+        eta = float(rng.uniform(0.05, 0.95))
+        x_hat = float(rng.uniform(lo, hi))
+        eta_hat = x_hat / (1.0 + x_hat)
+        yhat = loss.link(eta_hat)
+        # step keeps the five-point truncation below roundoff even for
+        # the high-curvature families (poly6, ew)
+        h = 1e-4 * min(eta_hat, 1.0 - eta_hat)
+        lhs = conditional_risk(loss, eta, yhat)
+        rhs = (bayes_risk(loss, eta_hat)
+               + (eta - eta_hat) * _bayes_risk_deriv(loss, eta_hat, h))
+        residuals.append(abs(lhs - rhs))
     return _report("savage-regret", residuals, tolerance)
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,10 +45,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def _write_csv(path: str, columns: list) -> None:
     """columns: (name, values) pairs in order; names may repeat."""
     cols = [np.asarray(c, dtype=float) for _, c in columns]
@@ -56,11 +53,16 @@ def _write_csv(path: str, columns: list) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
         for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _load_points(path: str) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file is refused below, by name
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    if pts.size == 0:
+        raise ValueError(f"{path} holds no data rows")
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{path} contains non-finite values")
     return pts
@@ -73,8 +75,17 @@ def _list_of(conv: Callable) -> Callable[[object], list]:
     def parse(x):
         if isinstance(x, str):
             x = [v for v in x.split(",") if v.strip()]
+        if not isinstance(x, list):
+            raise ValueError(f"expected a list, got {x!r}")
         return [conv(v) for v in x]
     return parse
+
+
+def _int(x) -> int:
+    """A JSON integer that is not a bool, or an integer string."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def _alpha(x):
@@ -108,7 +119,7 @@ SCHEMAS: dict = {
         "c2": (float, 0.0, "extra additive constant on the positive loss"),
         "beta_lo": (float, 0.05, "smallest tabulated ratio value"),
         "beta_hi": (float, 10.0, "largest tabulated ratio value"),
-        "n": (int, 101, "number of grid rows"),
+        "n": (_int, 101, "number of grid rows"),
     },
     "fit": {
         "out": (str, _REQUIRED, "output directory"),
@@ -116,21 +127,21 @@ SCHEMAS: dict = {
         "k": (float, 0.0, "poly exponent (poly family only)"),
         "alpha": (_alpha, 0.1, "ridge weight, or 'cv' for cross-validation"),
         "cv_alphas": (_list_of(float), [10.0, 0.1, 1e-3], "alpha grid for 'cv'"),
-        "folds": (int, 5, "cross-validation folds"),
-        "seed": (int, 0, "sampling seed"),
+        "folds": (_int, 5, "cross-validation folds"),
+        "seed": (_int, 0, "sampling seed"),
         "pair": (_choice("piecewise", "gaussian"), "piecewise",
                  "synthetic pair to sample when no data files are given"),
-        "n": (int, 100, "numerator sample size"),
-        "m": (int, 100, "denominator sample size"),
+        "n": (_int, 100, "numerator sample size"),
+        "m": (_int, 100, "denominator sample size"),
         "data_p": (str, None, "CSV of numerator points (overrides --pair)"),
         "data_q": (str, None, "CSV of denominator points"),
         "kernel": (_choice("gaussian", "polynomial"), "gaussian", "kernel kind"),
         "sigma": (float, None, "gaussian bandwidth (default: median heuristic)"),
-        "degree": (int, 3, "polynomial kernel degree"),
+        "degree": (_int, 3, "polynomial kernel degree"),
         "offset": (float, 1.0, "polynomial kernel offset"),
         "solver": (_choice("bfgs", "closed-form"), "bfgs",
                    "closed-form is available for the kulsif family"),
-        "max_iter": (int, 300, "BFGS iteration cap"),
+        "max_iter": (_int, 300, "BFGS iteration cap"),
         "grad_tol": (float, 1e-8, "BFGS gradient tolerance"),
     },
     "eval": {
@@ -141,41 +152,41 @@ SCHEMAS: dict = {
                  "known pair to compare against"),
         "grid_lo": (float, -1.0, "grid start when no data file is given"),
         "grid_hi": (float, 1.0, "grid end"),
-        "grid_n": (int, 401, "grid size"),
+        "grid_n": (_int, 401, "grid size"),
     },
     "fig1": {
         "out": (str, _REQUIRED, "output directory"),
-        "quad_nodes": (int, 2001, "Simpson nodes per density piece"),
-        "max_iter": (int, 400, "BFGS iteration cap"),
-        "grid_n": (int, 801, "rows in the curve table"),
+        "quad_nodes": (_int, 2001, "Simpson nodes per density piece"),
+        "max_iter": (_int, 400, "BFGS iteration cap"),
+        "grid_n": (_int, 801, "rows in the curve table"),
     },
     "fig2": {
         "out": (str, _REQUIRED, "output directory"),
-        "seed": (int, 0, "base seed"),
-        "n_seeds": (int, 10, "replicates per cell"),
-        "sizes": (_list_of(int), [10, 100], "total sample sizes m+n"),
+        "seed": (_int, 0, "base seed"),
+        "n_seeds": (_int, 10, "replicates per cell"),
+        "sizes": (_list_of(_int), [10, 100], "total sample sizes m+n"),
         "alphas": (_list_of(float), [1e-6, 1e-4, 1e-2, 1.0], "ridge weights"),
         "grid_lo": (float, -3.0, "evaluation grid start"),
         "grid_hi": (float, 3.0, "evaluation grid end"),
-        "grid_n": (int, 241, "evaluation grid size"),
-        "max_iter": (int, 200, "BFGS iteration cap"),
+        "grid_n": (_int, 241, "evaluation grid size"),
+        "max_iter": (_int, 200, "BFGS iteration cap"),
     },
     "fig3": {
         "out": (str, _REQUIRED, "output directory"),
-        "seed": (int, 0, "sampling seed"),
-        "n_src": (int, 200, "source (denominator) sample size"),
-        "n_tgt": (int, 200, "target (numerator) sample size"),
+        "seed": (_int, 0, "sampling seed"),
+        "n_src": (_int, 200, "source (denominator) sample size"),
+        "n_tgt": (_int, 200, "target (numerator) sample size"),
         "noise": (float, 0.1, "observation noise level"),
-        "degree": (int, 5, "polynomial kernel degree"),
+        "degree": (_int, 5, "polynomial kernel degree"),
         "alpha": (float, 1e-32, "ridge weight for the regressions"),
-        "quad_nodes": (int, 2001, "Simpson nodes for the population fits"),
-        "l2_nodes": (int, 10001, "Simpson nodes for the error integrals"),
-        "max_iter": (int, 400, "BFGS iteration cap"),
-        "grid_n": (int, 801, "rows in the curve table"),
+        "quad_nodes": (_int, 2001, "Simpson nodes for the population fits"),
+        "l2_nodes": (_int, 10001, "Simpson nodes for the error integrals"),
+        "max_iter": (_int, 400, "BFGS iteration cap"),
+        "grid_n": (_int, 801, "rows in the curve table"),
     },
     "check": {
         "out": (str, None, "optional directory for check_report.json"),
-        "seed": (int, 0, "seed for the randomized identity checks"),
+        "seed": (_int, 0, "seed for the randomized identity checks"),
     },
 }
 

@@ -107,14 +107,19 @@ def _data_risk(loss: CompositeLoss, scores: np.ndarray,
             float(np.sum(loss.ell_neg(scores[~pos])))) / pos.size
 
 
-def _training_gram(kernel: KernelSpec,
-                   centers: np.ndarray) -> tuple[KernelSpec, np.ndarray]:
-    """The kernel with a median sigma resolved on centers, and its Gram
-    on centers; a median sigma and its Gram share one distance pass."""
+def _fit_setup(samples: SampleSet, kernel: KernelSpec, alpha: float):
+    """(centers, pos, kernel, G) for a fit at alpha: the pooled points,
+    the mask of the P points, the kernel with a median sigma resolved on
+    the pooled points, and its Gram on them.  A median sigma and its
+    Gram share one distance pass."""
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and nonnegative")
+    centers = samples.pooled
+    pos = samples.labels > 0
     if not kernel.median_sigma:
-        return kernel, gram(kernel, centers, centers)
+        return centers, pos, kernel, gram(kernel, centers, centers)
     sigma, g_matrix = median_gram(centers)
-    return KernelSpec(kind="gaussian", sigma=sigma), g_matrix
+    return centers, pos, KernelSpec(kind="gaussian", sigma=sigma), g_matrix
 
 
 def _clamped_fraction(loss: CompositeLoss, scores: np.ndarray) -> float:
@@ -133,11 +138,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     outside the ratio map's usable range, which signals a diverged or
     degenerate fit rather than a usable estimator.
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError("alpha must be finite and nonnegative")
-    centers = samples.pooled
-    pos = samples.labels > 0
-    kernel, g_matrix = _training_gram(kernel, centers)
+    centers, pos, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
 
     def obj(point):
         c, scores = point
@@ -184,13 +185,9 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     only backward-stable, not accurate to more than a few digits.
     A median sigma is resolved as in fit.
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError("alpha must be finite and nonnegative")
-    centers = samples.pooled
-    labels = samples.labels
-    n = labels.size
+    centers, pos, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
+    n = pos.size
     n_p = len(samples.xs_p)  # pooled points are P first, then Q
-    kernel, g_matrix = _training_gram(kernel, centers)
     ridge = 2.0 * alpha * n if alpha > 0 else GRAM_JITTER
     coeffs = np.empty(n)
     coeffs[:n_p] = 1.0 / ridge
@@ -201,7 +198,7 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     except np.linalg.LinAlgError as exc:
         raise FitError(f"kulsif linear system is singular: {exc}") from exc
     loss = family_loss("kulsif")
-    value, _ = _score_risk(loss, labels > 0, coeffs, g_matrix @ coeffs, alpha)
+    value, _ = _score_risk(loss, pos, coeffs, g_matrix @ coeffs, alpha)
     return RatioModel(kernel=kernel, centers=centers, coeffs=coeffs,
                       loss=loss, train_risk=value, status="closed_form")
 

@@ -34,8 +34,8 @@ class WeightedRegressionTask:
         xs = as_points(self.xs)
         ys = np.asarray(self.ys, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if ys.ndim != 1:
-            raise ValueError("ys must be 1-d")
+        if ys.ndim != 1 or not np.all(np.isfinite(ys)):
+            raise ValueError("ys must be 1-d and finite")
         if len(ys) != len(xs) or len(w) != len(xs):
             raise ValueError("xs, ys, weights must have matching lengths")
         if np.any(w < 0) or not np.all(np.isfinite(w)):

@@ -64,21 +64,28 @@ def as_points(x) -> np.ndarray:
     return x
 
 
-def _sq_dist_rows(prod: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Overwrite prod = x @ y.T with the clipped squared distances
-    |x_i|^2 + |y_j|^2 - 2 x_i'y_j, DIST_ROWS rows at a time.
-
-    Yields (i, rows) after each block, rows being the view of prod that
-    starts at row i, so the caller can transform it in place.
-    """
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Clipped squared distances |x_i|^2 + |y_j|^2 - 2 x_i'y_j, formed
+    in the buffer of x @ y.T DIST_ROWS rows at a time."""
+    sq = x @ y.T
     x2 = np.sum(x ** 2, axis=1)
     y2 = np.sum(y ** 2, axis=1)
-    for i in range(0, len(prod), DIST_ROWS):
-        rows = prod[i:i + DIST_ROWS]
+    for i in range(0, len(sq), DIST_ROWS):
+        rows = sq[i:i + DIST_ROWS]
         rows *= -2.0
         rows += x2[i:i + DIST_ROWS, None] + y2
         np.maximum(rows, 0.0, out=rows)
-        yield i, rows
+    return sq
+
+
+def _gaussian(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """Overwrite squared distances sq with exp(-sq / (2 sigma^2))."""
+    # rows / (-2 sigma^2) rounds exactly as -rows / (2 sigma^2)
+    scale = -2.0 * sigma ** 2
+    for i in range(0, len(sq), DIST_ROWS):
+        rows = sq[i:i + DIST_ROWS]
+        np.exp(np.divide(rows, scale, out=rows), out=rows)
+    return sq
 
 
 def gram(spec: KernelSpec, x, y) -> np.ndarray:
@@ -90,12 +97,7 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     if spec.median_sigma:
         raise ValueError("median sigma is resolved by fitting, not by gram")
     if spec.kind == "gaussian":
-        k = x @ y.T
-        # rows / (-2 sigma^2) rounds exactly as -rows / (2 sigma^2)
-        scale = -2.0 * spec.sigma ** 2
-        for _, rows in _sq_dist_rows(k, x, y):
-            np.exp(np.divide(rows, scale, out=rows), out=rows)
-        return k
+        return _gaussian(_sq_dists(x, y), spec.sigma)
     # in place, so the product is the only n x m array
     k = x @ y.T
     k += spec.offset
@@ -107,9 +109,9 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     return float(gram(spec, np.atleast_1d(x), np.atleast_1d(y))[0, 0])
 
 
-def _median_sq_dist(prod: np.ndarray, pts: np.ndarray) -> float:
-    """Median pairwise distance over pairs i < j of pts, overwriting
-    prod = pts @ pts.T with the squared distances on the way.
+def _median_sq_dist(sq: np.ndarray) -> float:
+    """Median pairwise distance over pairs i < j, from the square
+    matrix sq of squared distances.
 
     The strict upper triangle is copied into a pair buffer, which is
     partitioned once around the middle; the lower middle of an even
@@ -117,15 +119,14 @@ def _median_sq_dist(prod: np.ndarray, pts: np.ndarray) -> float:
     values are square-rooted: sqrt is monotone, so this is the median
     of the distances.
     """
-    n = pts.shape[0]
+    n = len(sq)
     if n < 2:
         raise ValueError("need at least two points")
     pairs = np.empty(n * (n - 1) // 2)
     start = 0
-    for i, rows in _sq_dist_rows(prod, pts, pts):
-        for j, row in enumerate(rows, start=i):
-            pairs[start:start + n - j - 1] = row[j + 1:]
-            start += n - j - 1
+    for j, row in enumerate(sq):
+        pairs[start:start + n - j - 1] = row[j + 1:]
+        start += n - j - 1
     mid = len(pairs) // 2
     pairs.partition(mid)
     middle = [pairs[mid]] if len(pairs) % 2 else [pairs[:mid].max(), pairs[mid]]
@@ -138,7 +139,7 @@ def _median_sq_dist(prod: np.ndarray, pts: np.ndarray) -> float:
 def median_heuristic(points) -> float:
     """Median pairwise Euclidean distance over all pairs i < j."""
     pts = as_points(points)
-    return _median_sq_dist(pts @ pts.T, pts)
+    return _median_sq_dist(_sq_dists(pts, pts))
 
 
 def median_gram(points) -> tuple[float, np.ndarray]:
@@ -150,10 +151,6 @@ def median_gram(points) -> tuple[float, np.ndarray]:
     is freed before the distances are exponentiated in place.
     """
     pts = as_points(points)
-    k = pts @ pts.T
-    sigma = _median_sq_dist(k, pts)
-    scale = -2.0 * sigma ** 2
-    for i in range(0, len(k), DIST_ROWS):
-        rows = k[i:i + DIST_ROWS]
-        np.exp(np.divide(rows, scale, out=rows), out=rows)
-    return sigma, k
+    sq = _sq_dists(pts, pts)
+    sigma = _median_sq_dist(sq)
+    return sigma, _gaussian(sq, sigma)

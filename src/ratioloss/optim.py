@@ -12,7 +12,8 @@ trial at (x + t p, z + t A p) in O(n).  The gradient A u is formed only
 for an accepted trial, or for a trial that needs the plateau test.  A
 run therefore costs two products with A at the start and about two per
 iteration (one more for a scaled-gradient retry), however many trials
-are rejected.
+are rejected.  A plain objective is the case A = I: it is adapted once
+to take the pair (x, x), and its gradient is u itself.
 
 The BFGS update (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 eq. 6.17) is the symmetric rank-2 step H -= s w' + w s', so the inverse
@@ -29,6 +30,7 @@ O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -58,30 +60,29 @@ class OptimResult:
     status: str  # converged | max_iter | line_search_failed
 
 
-def _backtrack(obj: Objective, x: np.ndarray, f: float, p: np.ndarray,
-               dd: float, linear=None, z=None, ap=None):
+def _backtrack(obj: Objective, x: np.ndarray, z: np.ndarray, f: float,
+               p: np.ndarray, ap: np.ndarray, dd: float, grad: Callable):
     """Armijo backtracking from unit step.
 
-    Returns (point, f_new, g_new) for the first sufficient-decrease step,
-    or None when none exists; point is x_new, or (x_new, z_new) when a
-    linear map is given.  A candidate whose displacement rounds to
-    zero ends the search at once: every shorter step rounds to zero too,
-    and accepting it would repeat the same point forever.  Once the
-    Armijo threshold rounds back to f itself, the value has run out of
-    resolution and cannot referee; acceptance then falls back to the
-    weak curvature condition g_new'p >= sigma dd, guarded by a bound on
-    how far above f the candidate may sit (float noise, not a real rise).
-
-    With linear = A, the trial at step t is (x + t p, z + t A p) for
-    z = A x and ap = A p, and the gradient A u is formed only for a
-    trial that passes Armijo or needs the curvature test.
+    The trial at step t is the point (x + t p, z + t ap), for z = A x
+    and ap = A p; obj maps it to (value, u) and grad(u) is the gradient,
+    formed only for a trial that passes Armijo or needs the curvature
+    test.  Returns (point, f_new, g_new) for the first sufficient-decrease
+    step, or None when none exists.  A candidate whose displacement
+    rounds to zero ends the search at once: every shorter step rounds to
+    zero too, and accepting it would repeat the same point forever.
+    Once the Armijo threshold rounds back to f itself, the value has run
+    out of resolution and cannot referee; acceptance then falls back to
+    the weak curvature condition g_new'p >= sigma dd, guarded by a bound
+    on how far above f the candidate may sit (float noise, not a real
+    rise).
     """
     step = 1.0
     for _ in range(MAX_HALVINGS):
         x_new = x + step * p
         if np.array_equal(x_new, x):
             return None
-        point = x_new if linear is None else (x_new, z + step * ap)
+        point = (x_new, z + step * ap)
         # probes may leave the effective domain; non-finite values are
         # rejected below, so their overflow warnings carry no signal
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -90,23 +91,14 @@ def _backtrack(obj: Objective, x: np.ndarray, f: float, p: np.ndarray,
         if np.isfinite(f_new):
             threshold = f + ARMIJO_C * step * dd
             if f_new <= threshold:
-                return point, f_new, _gradient(out, linear)
+                return point, f_new, grad(out)
             if (threshold == f
                     and f_new <= f + PLATEAU_SLACK * max(1.0, abs(f))):
-                gn = _gradient(out, linear)
+                gn = grad(out)
                 if np.all(np.isfinite(gn)) and float(gn @ p) >= WOLFE_SIGMA * dd:
                     return point, f_new, gn
         step *= ARMIJO_SHRINK
     return None
-
-
-def _gradient(out, linear) -> np.ndarray:
-    """The gradient from an objective's second output: the output
-    itself, or A u for the output u of an objective over (x, A x)."""
-    if linear is None:
-        return np.asarray(out, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return linear @ out
 
 
 class _InverseHessian:
@@ -159,34 +151,48 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
     backtracking cannot find a decrease even after restarting along
     -g / max(1, |g|_inf) ("line_search_failed").  The
     inverse-Hessian update is skipped whenever s'y <= 1e-10 |s||y|,
-    keeping the approximation positive definite.
+    keeping the approximation positive definite.  ValueError unless
+    max_iter >= 0 and grad_tol >= 0.
     """
-    x = np.array(x0, dtype=float).copy()
+    if not (max_iter >= 0 and grad_tol >= 0):
+        raise ValueError(f"need max_iter >= 0 and grad_tol >= 0, got "
+                         f"{max_iter!r} and {grad_tol!r}")
+    x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("x0 must be a 1-d vector")
-    z = None if linear is None else linear @ x
+    if linear is None:
+        # a plain objective is the case A = I
+        plain = obj
+        obj = lambda point: plain(point[0])
+        apply = partial(np.asarray, dtype=float)
+    else:
+        def apply(v):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return linear @ v
+    z = apply(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, out = obj(x if linear is None else (x, z))
+        f, out = obj((x, z))
     f = float(f)
-    g = _gradient(out, linear)
+    g = apply(out)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise ValueError("objective is not finite at the starting point")
 
     def search(p, dd):
-        ap = None if linear is None else linear @ p
-        return _backtrack(obj, x, f, p, dd, linear, z, ap)
+        return _backtrack(obj, x, z, f, p, apply(p), dd, apply)
 
     n = x.size
     # every update is one accepted step, so at most max_iter are held
-    hinv = _InverseHessian(n, min(n, max(max_iter, 0)))
+    hinv = _InverseHessian(n, min(n, max_iter))
     hg = g  # hinv @ g, carried across iterations
     iterations = 0
-    status = "max_iter"
 
-    for _ in range(max_iter):
+    while True:
         gnorm = float(np.max(np.abs(g)))
         if gnorm < grad_tol:
             status = "converged"
+            break
+        if iterations >= max_iter:
+            status = "max_iter"
             break
 
         p = -hg
@@ -214,8 +220,7 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         if trial is None:
             status = "line_search_failed"
             break
-        point, f_new, g_new = trial
-        x_new, z_new = (point, None) if linear is None else point
+        (x_new, z_new), f_new, g_new = trial
 
         if not np.all(np.isfinite(g_new)):
             raise RuntimeError(
@@ -235,13 +240,8 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
             hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
         x, z, f, g, hg = x_new, z_new, f_new, g_new, hg_new
         iterations += 1
-    else:
-        # loop exhausted; check convergence one last time
-        if float(np.max(np.abs(g))) < grad_tol:
-            status = "converged"
 
-    return OptimResult(x_star=x, f_star=f,
-                       grad_norm=float(np.max(np.abs(g))),
+    return OptimResult(x_star=x, f_star=f, grad_norm=gnorm,
                        iterations=iterations, status=status)
 
 

@@ -94,10 +94,7 @@ class PiecewisePairSpec:
 
 def piecewise_beta(spec: PiecewisePairSpec, x) -> np.ndarray:
     """Exact density ratio p/q at the given points."""
-    idx = spec.piece_index(x)
-    p = np.asarray(spec.p_levels, dtype=float)[idx]
-    q = np.asarray(spec.q_levels, dtype=float)[idx]
-    return p / q
+    return spec.density("p", x) / spec.density("q", x)
 
 
 def default_pair() -> PiecewisePairSpec:
@@ -174,7 +171,10 @@ def regression_task(spec: PiecewisePairSpec, n_src: int, n_tgt: int,
                     noise_sigma: float, rng: Rng,
                     name: str = "regression") -> RegressionTask:
     """Inputs drawn from Q (source) with noisy observations of the target
-    function, and unlabelled inputs drawn from P (target)."""
+    function, and unlabelled inputs drawn from P (target).  ValueError
+    unless noise_sigma is finite and nonnegative."""
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError("noise_sigma must be finite and nonnegative")
     src = sample_piecewise(spec, "q", n_src, rng, name=f"{name}/src")
     tgt = sample_piecewise(spec, "p", n_tgt, rng, name=f"{name}/tgt")
     noise = rng.stream(f"{name}/noise-src/{n_src}").standard_normal(n_src)

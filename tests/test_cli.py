@@ -194,9 +194,9 @@ def test_cross_validation_resolves_the_median_sigma_once(tmp_path,
     # the final fit takes the folds' sigma instead of a second median
     calls = []
 
-    def spying_median(prod, pts):
-        calls.append(len(pts))
-        return real_median(prod, pts)
+    def spying_median(sq):
+        calls.append(len(sq))
+        return real_median(sq)
 
     real_median = kernels._median_sq_dist
     monkeypatch.setattr(kernels, "_median_sq_dist", spying_median)
@@ -389,6 +389,35 @@ def test_unknown_config_key_rejected(tmp_path):
                  "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("command,config,err", [
+    ("fit", {"n": 20.9}, "expected an integer, got 20.9"),
+    ("fit", {"m": True}, "expected an integer, got True"),
+    ("fit", {"degree": 2.5, "kernel": "polynomial"},
+     "expected an integer, got 2.5"),
+    ("fig2", {"sizes": [10, 20.5]}, "expected an integer, got 20.5"),
+    ("fig2", {"sizes": 10}, "expected a list, got 10"),
+])
+def test_config_integer_options_are_not_truncated(tmp_path, capsys, command,
+                                                  config, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+    if command == "fit":
+        args += ["--family", "kulsif", "--solver", "closed-form"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_config_integer_options_take_integers_and_integer_strings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "kulsif", "solver": "closed-form",
+                               "n": "7", "m": 6}))
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "fit")]) == 0
+    metrics = json.loads((tmp_path / "fit" / "metrics.json").read_text())
+    assert (metrics["n"], metrics["m"]) == (7, 6)
+
+
 def test_eval_model_file_errors(tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
@@ -560,6 +589,46 @@ def test_non_finite_or_negative_alpha_is_a_usage_error(tmp_path, capsys,
                  "--grid-n", "5", "--out", str(tmp_path / "f3")]) == 1
     assert capsys.readouterr().err == (
         "error: alpha must be finite and nonnegative\n")
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])
+def test_non_finite_or_negative_noise_is_a_usage_error(tmp_path, capsys,
+                                                        noise):
+    out = tmp_path / "f3"
+    assert main(["fig3", "--noise", noise, "--n-src", "20", "--n-tgt", "20",
+                 "--quad-nodes", "101", "--l2-nodes", "101", "--max-iter",
+                 "20", "--grid-n", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: noise_sigma must be finite and nonnegative\n")
+    assert not (out / "fig3_summary.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--family", "kulsif", "--n", "10", "--m", "10", "--grad-tol", "nan"],
+    ["fit", "--family", "kulsif", "--n", "10", "--m", "10", "--grad-tol", "-1"],
+    ["fit", "--family", "kulsif", "--n", "10", "--m", "10", "--max-iter", "-3"],
+    ["fig1", "--quad-nodes", "101", "--grid-n", "5", "--max-iter", "-3"],
+    ["fig2", "--n-seeds", "1", "--sizes", "10", "--alphas", "1",
+     "--max-iter", "-3"],
+    ["fig3", "--n-src", "20", "--n-tgt", "20", "--quad-nodes", "101",
+     "--l2-nodes", "101", "--grid-n", "5", "--max-iter", "-3"],
+])
+def test_negative_max_iter_or_bad_grad_tol_is_a_usage_error(tmp_path, capsys,
+                                                             args):
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need max_iter >= 0 and grad_tol >= 0")
+    assert not any((tmp_path / "x").iterdir())
+
+
+def test_eval_refuses_an_empty_csv(tmp_path, capsys):
+    assert main(["fit", "--family", "kulsif", "--solver", "closed-form",
+                 "--n", "5", "--m", "5", "--out", str(tmp_path / "fit")]) == 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["eval", "--model", str(tmp_path / "fit" / "model.json"),
+                 "--data", str(empty), "--out", str(tmp_path / "ev")]) == 1
+    assert capsys.readouterr().err == f"error: {empty} holds no data rows\n"
 
 
 def test_even_quad_nodes_is_a_usage_error(tmp_path, capsys):

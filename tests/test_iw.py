@@ -40,6 +40,15 @@ def test_task_validation():
                       np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_task_refuses_non_finite_targets(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightedRegressionTask(xs=np.array([0.0, 1.0]),
+                               ys=np.array([1.0, bad]), weights=np.ones(2),
+                               kernel=KernelSpec(kind="gaussian", sigma=1.0),
+                               alpha=0.1)
+
+
 def test_weighted_krr_first_order_optimality():
     # the coefficients must zero the gradient of the penalized objective
     # J(c) = (1/n) sum w_i (y_i - (Kc)_i)^2 + alpha c'Kc

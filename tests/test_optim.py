@@ -127,16 +127,17 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
             p = -g
             dd = -float(g @ g)
             restarted = True
-        trial = _backtrack(obj, x, f, p, dd)
+        trial = _backtrack(lambda pt: obj(pt[0]), x, x, f, p, p, dd, np.asarray)
         if trial is None and (not restarted or gnorm > 1.0):
             hinv = np.eye(n)
             p = -g / max(1.0, gnorm)
             dd = float(p @ g)
-            trial = _backtrack(obj, x, f, p, dd)
+            trial = _backtrack(lambda pt: obj(pt[0]), x, x, f, p, p, dd,
+                               np.asarray)
         if trial is None:
             status = "line_search_failed"
             break
-        x_new, f_new, g_new = trial
+        (x_new, _), f_new, g_new = trial
         g_new = np.asarray(g_new, dtype=float)
         s = x_new - x
         yv = g_new - g
@@ -418,6 +419,22 @@ def test_linear_objective_matches_the_plain_protocol():
     assert res.status == ref.status == "converged"
     assert res.iterations == ref.iterations
     assert np.allclose(res.x_star, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("max_iter,grad_tol", [(-1, 1e-8), (10, -1e-8),
+                                               (10, np.nan)])
+def test_negative_max_iter_or_bad_grad_tol_is_refused(max_iter, grad_tol):
+    obj = spd_objective(np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match="max_iter >= 0 and grad_tol >= 0"):
+        bfgs(obj, np.zeros(2), max_iter=max_iter, grad_tol=grad_tol)
+
+
+def test_zero_max_iter_and_zero_grad_tol_are_allowed():
+    obj = spd_objective(np.eye(2), np.ones(2))
+    res = bfgs(obj, np.zeros(2), max_iter=0)
+    assert (res.status, res.iterations, res.grad_norm) == ("max_iter", 0, 1.0)
+    res = bfgs(obj, np.zeros(2), grad_tol=0.0)
+    assert np.array_equal(res.x_star, np.ones(2)) and res.grad_norm == 0.0
 
 
 def test_grad_check_reports_a_nan_gradient():

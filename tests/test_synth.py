@@ -114,6 +114,12 @@ def test_regression_task_shapes_and_noise():
     assert not np.array_equal(noisy.src_ys, task.src_ys)
 
 
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -0.5])
+def test_regression_task_refuses_bad_noise(noise):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        regression_task(default_pair(), 30, 20, noise, Rng(1))
+
+
 @given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
        st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
        st.lists(st.floats(-0.9, 0.9), unique=True, max_size=4))
