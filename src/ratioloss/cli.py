@@ -20,8 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .checks import run_all
-from .dre import (FitError, RatioModel, SampleSet, cross_validate_alpha, fit,
-                  kulsif_fit_closed_form, predict_ratio)
+from .dre import (DUAL_NEWTON_MAX_Q, FitError, RatioModel, SampleSet,
+                  _solver, cross_validate_alpha, fit, kulsif_fit_closed_form,
+                  predict_ratio)
 from .figures import FIGURE1_FAMILIES, SUP_INTERVAL, figure1, figure2, figure3
 from .generators import DOMAIN_EPS, FAMILY_NAMES, RATIO_CAP
 from .kernels import MEDIAN, KernelSpec, as_points
@@ -88,11 +89,18 @@ def _int(x) -> int:
     return int(x)
 
 
+def _float(x) -> float:
+    """A JSON number that is not a bool, or a numeric string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def _alpha(x):
     """Either the literal 'cv' or a nonnegative float."""
     if isinstance(x, str) and x.strip() == "cv":
         return "cv"
-    v = float(x)
+    v = _float(x)
     if not 0.0 <= v < np.inf:
         raise ValueError("alpha must be finite and nonnegative, or 'cv'")
     return v
@@ -114,19 +122,19 @@ SCHEMAS: dict = {
     "loss-show": {
         "out": (str, _REQUIRED, "output directory"),
         "family": (_choice(*FAMILY_NAMES), _REQUIRED, "loss family"),
-        "k": (float, 0.0, "poly exponent (poly family only)"),
-        "c1": (float, 0.0, "additive constant on both partial losses"),
-        "c2": (float, 0.0, "extra additive constant on the positive loss"),
-        "beta_lo": (float, 0.05, "smallest tabulated ratio value"),
-        "beta_hi": (float, 10.0, "largest tabulated ratio value"),
+        "k": (_float, 0.0, "poly exponent (poly family only)"),
+        "c1": (_float, 0.0, "additive constant on both partial losses"),
+        "c2": (_float, 0.0, "extra additive constant on the positive loss"),
+        "beta_lo": (_float, 0.05, "smallest tabulated ratio value"),
+        "beta_hi": (_float, 10.0, "largest tabulated ratio value"),
         "n": (_int, 101, "number of grid rows"),
     },
     "fit": {
         "out": (str, _REQUIRED, "output directory"),
         "family": (_choice(*FAMILY_NAMES), _REQUIRED, "loss family"),
-        "k": (float, 0.0, "poly exponent (poly family only)"),
+        "k": (_float, 0.0, "poly exponent (poly family only)"),
         "alpha": (_alpha, 0.1, "ridge weight, or 'cv' for cross-validation"),
-        "cv_alphas": (_list_of(float), [10.0, 0.1, 1e-3], "alpha grid for 'cv'"),
+        "cv_alphas": (_list_of(_float), [10.0, 0.1, 1e-3], "alpha grid for 'cv'"),
         "folds": (_int, 5, "cross-validation folds"),
         "seed": (_int, 0, "sampling seed"),
         "pair": (_choice("piecewise", "gaussian"), "piecewise",
@@ -136,13 +144,18 @@ SCHEMAS: dict = {
         "data_p": (str, None, "CSV of numerator points (overrides --pair)"),
         "data_q": (str, None, "CSV of denominator points"),
         "kernel": (_choice("gaussian", "polynomial"), "gaussian", "kernel kind"),
-        "sigma": (float, None, "gaussian bandwidth (default: median heuristic)"),
+        "sigma": (_float, None, "gaussian bandwidth (default: median heuristic)"),
         "degree": (_int, 3, "polynomial kernel degree"),
-        "offset": (float, 1.0, "polynomial kernel offset"),
+        "offset": (_float, 1.0, "polynomial kernel offset"),
         "solver": (_choice("bfgs", "closed-form"), "bfgs",
+                   "bfgs fits iteratively: projected Newton on the dual for "
+                   "poly and ew at alpha > 0 with m <= "
+                   f"{DUAL_NEWTON_MAX_Q}, BFGS otherwise; "
                    "closed-form is available for the kulsif family"),
-        "max_iter": (_int, 300, "BFGS iteration cap"),
-        "grad_tol": (float, 1e-8, "BFGS gradient tolerance"),
+        "max_iter": (_int, 300, "iteration cap: BFGS iterations or Newton "
+                     "steps"),
+        "grad_tol": (_float, 1e-8, "gradient tolerance of the iterative "
+                     "solver"),
     },
     "eval": {
         "out": (str, _REQUIRED, "output directory"),
@@ -150,8 +163,8 @@ SCHEMAS: dict = {
         "data": (str, None, "CSV of evaluation points"),
         "pair": (_choice("none", "piecewise", "gaussian"), "none",
                  "known pair to compare against"),
-        "grid_lo": (float, -1.0, "grid start when no data file is given"),
-        "grid_hi": (float, 1.0, "grid end"),
+        "grid_lo": (_float, -1.0, "grid start when no data file is given"),
+        "grid_hi": (_float, 1.0, "grid end"),
         "grid_n": (_int, 401, "grid size"),
     },
     "fig1": {
@@ -165,20 +178,21 @@ SCHEMAS: dict = {
         "seed": (_int, 0, "base seed"),
         "n_seeds": (_int, 10, "replicates per cell"),
         "sizes": (_list_of(_int), [10, 100], "total sample sizes m+n"),
-        "alphas": (_list_of(float), [1e-6, 1e-4, 1e-2, 1.0], "ridge weights"),
-        "grid_lo": (float, -3.0, "evaluation grid start"),
-        "grid_hi": (float, 3.0, "evaluation grid end"),
+        "alphas": (_list_of(_float), [1e-6, 1e-4, 1e-2, 1.0], "ridge weights"),
+        "grid_lo": (_float, -3.0, "evaluation grid start"),
+        "grid_hi": (_float, 3.0, "evaluation grid end"),
         "grid_n": (_int, 241, "evaluation grid size"),
-        "max_iter": (_int, 200, "BFGS iteration cap"),
+        "max_iter": (_int, 200, "iteration cap of the ew fits: BFGS "
+                     "iterations or Newton steps"),
     },
     "fig3": {
         "out": (str, _REQUIRED, "output directory"),
         "seed": (_int, 0, "sampling seed"),
         "n_src": (_int, 200, "source (denominator) sample size"),
         "n_tgt": (_int, 200, "target (numerator) sample size"),
-        "noise": (float, 0.1, "observation noise level"),
+        "noise": (_float, 0.1, "observation noise level"),
         "degree": (_int, 5, "polynomial kernel degree"),
-        "alpha": (float, 1e-32, "ridge weight for the regressions"),
+        "alpha": (_float, 1e-32, "ridge weight for the regressions"),
         "quad_nodes": (_int, 2001, "Simpson nodes for the population fits"),
         "l2_nodes": (_int, 10001, "Simpson nodes for the error integrals"),
         "max_iter": (_int, 400, "BFGS iteration cap"),
@@ -247,12 +261,12 @@ def cmd_loss_show(o: dict) -> int:
         raise ValueError("need 0 < beta-lo < beta-hi")
     if o["n"] < 2:
         raise ValueError("n must be at least 2")
-    out = _ensure_out(o["out"])
     loss = family_loss(o["family"], k=o["k"], c1=o["c1"], c2=o["c2"])
     gen = loss.generator
     beta = np.linspace(o["beta_lo"], o["beta_hi"], o["n"])
     yhat = loss.ratio_map.g_inv(beta)
     lower, upper = convexity_margin(gen, loss.ratio_map, beta)
+    out = _ensure_out(o["out"])
     _write_csv(os.path.join(out, "loss.csv"), [
         ("yhat", yhat), ("ell_pos", loss.ell_pos(yhat)),
         ("ell_neg", loss.ell_neg(yhat)), ("eta_hat", loss.inv_link(yhat)),
@@ -291,7 +305,6 @@ def _make_kernel(o: dict) -> KernelSpec:
 
 
 def cmd_fit(o: dict) -> int:
-    out = _ensure_out(o["out"])
     rng = Rng(o["seed"])
     samples = _fit_samples(o, rng)
     kernel = _make_kernel(o)
@@ -313,14 +326,17 @@ def cmd_fit(o: dict) -> int:
                   + ", ".join(short), file=sys.stderr)
     if o["solver"] == "closed-form":
         model = kulsif_fit_closed_form(samples, kernel, alpha)
+        solver = "closed_form"
     else:
         model = fit(samples, loss, kernel, alpha, max_iter=o["max_iter"],
                     grad_tol=o["grad_tol"])
+        solver = _solver(loss, alpha, len(samples.xs_q))
         if model.unconverged:
             print(f"warning: fit ended {model.status} after "
                   f"{model.iterations} iterations", file=sys.stderr)
 
     kernel = model.kernel  # a median sigma is resolved by the fit
+    out = _ensure_out(o["out"])
     _write_json(os.path.join(out, "model.json"), {
         "family": o["family"], "k": o["k"], "alpha": alpha,
         "kernel": {"kind": kernel.kind, "sigma": kernel.sigma,
@@ -330,7 +346,7 @@ def cmd_fit(o: dict) -> int:
     _write_json(os.path.join(out, "metrics.json"), {
         "train_risk": model.train_risk, "status": model.status,
         "iterations": model.iterations, "grad_norm": model.grad_norm,
-        "n": len(samples.xs_p), "m": len(samples.xs_q), "seed": o["seed"],
+        "solver": solver, "n": len(samples.xs_p), "m": len(samples.xs_q), "seed": o["seed"],
         "alpha": alpha, "cv_table": None if cv is None else cv.table,
         "cv_unconverged": None if cv is None else cv.unconverged,
     })
@@ -338,7 +354,6 @@ def cmd_fit(o: dict) -> int:
 
 
 def cmd_eval(o: dict) -> int:
-    out = _ensure_out(o["out"])
     with open(o["model"]) as fh:
         doc = json.load(fh)
     for key in ("family", "alpha", "kernel", "centers", "coeffs"):
@@ -381,16 +396,17 @@ def cmd_eval(o: dict) -> int:
             exact = exact_fn(pts[:, 0])
         columns.append(("beta_exact", exact))
         metrics["sup_abs_error"] = float(np.max(np.abs(bh - exact)))
+    out = _ensure_out(o["out"])
     _write_csv(os.path.join(out, "predictions.csv"), columns)
     _write_json(os.path.join(out, "eval.json"), metrics)
     return 0
 
 
 def cmd_fig1(o: dict) -> int:
-    out = _ensure_out(o["out"])
     res = figure1(quad_nodes=o["quad_nodes"], max_iter=o["max_iter"])
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])
+    out = _ensure_out(o["out"])
     _write_csv(os.path.join(out, "fig1_curves.csv"), [
         ("x", grid), ("beta", piecewise_beta(spec, grid)),
         *((f"betahat_{name}", res["fits"][name].beta_hat(grid))
@@ -407,7 +423,6 @@ def cmd_fig1(o: dict) -> int:
 
 
 def cmd_fig2(o: dict) -> int:
-    out = _ensure_out(o["out"])
     res = figure2(seed=o["seed"], sizes=o["sizes"], alphas=o["alphas"],
                   n_seeds=o["n_seeds"], grid_lo=o["grid_lo"],
                   grid_hi=o["grid_hi"], grid_n=o["grid_n"],
@@ -421,19 +436,20 @@ def cmd_fig2(o: dict) -> int:
                           "alpha": cell.alpha, "max_abs": cell.max_abs,
                           "median_max_abs": cell.median_max_abs,
                           "unconverged": cell.unconverged})
+    out = _ensure_out(o["out"])
     _write_csv(os.path.join(out, "fig2_curves.csv"), columns)
     _write_json(os.path.join(out, "fig2_summary.json"), {"cells": cells_doc})
     return 0
 
 
 def cmd_fig3(o: dict) -> int:
-    out = _ensure_out(o["out"])
     res = figure3(seed=o["seed"], n_src=o["n_src"], n_tgt=o["n_tgt"],
                   noise_sigma=o["noise"], degree=o["degree"],
                   alpha=o["alpha"], quad_nodes=o["quad_nodes"],
                   max_iter=o["max_iter"], l2_nodes=o["l2_nodes"])
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])
+    out = _ensure_out(o["out"])
     _write_csv(os.path.join(out, "fig3_curves.csv"), [
         ("x", grid), ("f_target", target_function(grid)),
         *((f"fhat_{name}", res["predictors"][name](grid))

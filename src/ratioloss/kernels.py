@@ -17,8 +17,9 @@ DIST_ROWS = 64
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel description: 'gaussian' (needs sigma > 0, or MEDIAN) or
-    'polynomial' (needs integer degree >= 1; offset defaults to 1)."""
+    """Kernel description: 'gaussian' (needs a finite sigma > 0, or
+    MEDIAN) or 'polynomial' (needs integer degree >= 1; offset defaults
+    to 1)."""
 
     kind: str
     sigma: Union[float, str, None] = None
@@ -27,8 +28,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma != MEDIAN and not _positive(self.sigma):
-                raise ValueError("gaussian kernel needs sigma > 0 or 'median'")
+            if self.sigma != MEDIAN and not _positive_finite(self.sigma):
+                raise ValueError(
+                    "gaussian kernel needs a finite sigma > 0 or 'median'")
         elif self.kind == "polynomial":
             if not (isinstance(self.degree, (int, np.integer))
                     and self.degree >= 1):
@@ -42,10 +44,10 @@ class KernelSpec:
         return self.kind == "gaussian" and self.sigma == MEDIAN
 
 
-def _positive(v) -> bool:
-    """v > 0, and False for None, NaN or a non-number."""
+def _positive_finite(v) -> bool:
+    """0 < v < inf, and False for None, NaN or a non-number."""
     try:
-        return bool(v > 0)
+        return bool(0 < v < np.inf)
     except TypeError:
         return False
 

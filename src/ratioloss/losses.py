@@ -132,8 +132,6 @@ class CompositeLoss:
     ell_neg: ScalarMap
     ell_pos1: ScalarMap
     ell_neg1: ScalarMap
-    ell_pos2: ScalarMap
-    ell_neg2: ScalarMap
     inv_link: ScalarMap
     ratio_map: RatioMap
     generator: BregmanGenerator
@@ -162,19 +160,14 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
     also the analytic extension past the link's domain floor).
     """
     canonical = rmap.canonical_for == (gen.name, gen.k)
-    g, phi, phi1, phi2, phi3 = rmap.g, gen.phi, gen.phi1, gen.phi2, gen.phi3
+    g, phi, phi1, phi2 = rmap.g, gen.phi, gen.phi1, gen.phi2
 
     if canonical:
         ell_pos = lambda y: (c1 + c2) - np.asarray(y, dtype=float)
         ell_pos1 = lambda y: -np.ones_like(np.asarray(y, dtype=float))
-        ell_pos2 = lambda y: np.zeros_like(np.asarray(y, dtype=float))
     else:
         ell_pos = lambda y: (c1 + c2) - phi1(g(y))
         ell_pos1 = lambda y: -phi2(g(y)) * rmap.g1(y)
-        def ell_pos2(y):
-            b = g(y)
-            d1 = rmap.g1(y)
-            return -(phi3(b) * d1 ** 2 + phi2(b) * rmap.g2(y))
 
     def ell_neg(y):
         b = g(y)
@@ -184,18 +177,12 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
         b = g(y)
         return b * phi2(b) * rmap.g1(y)
 
-    def ell_neg2(y):
-        b = g(y)
-        d1 = rmap.g1(y)
-        return phi2(b) * d1 ** 2 + b * (phi3(b) * d1 ** 2 + phi2(b) * rmap.g2(y))
-
     def inv_link(y):
         b = g(y)
         return b / (1.0 + b)
 
     return CompositeLoss(ell_pos=ell_pos, ell_neg=ell_neg,
                          ell_pos1=ell_pos1, ell_neg1=ell_neg1,
-                         ell_pos2=ell_pos2, ell_neg2=ell_neg2,
                          inv_link=inv_link,
                          ratio_map=rmap, generator=gen,
                          score_bounds=(float(score_bounds[0]),
@@ -234,18 +221,12 @@ def family_loss(name: str, k: float = 0.0, c1: float = 0.0,
             return (c1 + c2) - np.log(yc) + np.where(y >= eps, 0.0,
                                                      (eps - y) / eps)
 
-        def ell_pos2(y):
-            y = np.asarray(y, dtype=float)
-            return np.where(y >= eps, 1.0 / np.maximum(y, eps) ** 2, 0.0)
-
         return replace(
             loss,
             ell_pos=ell_pos,
             ell_pos1=lambda y: -1.0 / np.maximum(np.asarray(y, dtype=float), eps),
-            ell_pos2=ell_pos2,
             ell_neg=lambda y: c1 + np.asarray(y, dtype=float),
-            ell_neg1=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            ell_neg2=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
+            ell_neg1=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     if name == "boost":
         return construct_loss(builtin_generator("boost"), exp_ratio_map(2.0),
                               c1, c2,
@@ -269,16 +250,11 @@ def family_loss(name: str, k: float = 0.0, c1: float = 0.0,
             core = 0.5 * yc * (np.log(2.0 * yc) - 1.0)
             return c1 + core + np.where(y >= eps, 0.0, tangent * (y - eps))
 
-        def ell_neg2(y):
-            y = np.asarray(y, dtype=float)
-            return np.where(y >= eps, 0.5 / np.maximum(y, eps), 0.0)
-
         return replace(
             loss,
             ell_neg=ell_neg,
             ell_neg1=lambda y: 0.5 * np.log(
-                2.0 * np.maximum(np.asarray(y, dtype=float), eps)),
-            ell_neg2=ell_neg2)
+                2.0 * np.maximum(np.asarray(y, dtype=float), eps)))
     raise ValueError(f"unknown family {name!r}")
 
 

@@ -136,6 +136,13 @@ def _reset(hinv: _InverseHessian) -> None:
     hinv.d = None
 
 
+def _check_stopping(max_iter: int, grad_tol: float) -> None:
+    """ValueError unless max_iter >= 0 and grad_tol >= 0 (NaN fails)."""
+    if not (max_iter >= 0 and grad_tol >= 0):
+        raise ValueError(f"need max_iter >= 0 and grad_tol >= 0, got "
+                         f"{max_iter!r} and {grad_tol!r}")
+
+
 def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
          linear=None) -> OptimResult:
     """Minimize obj from x0.
@@ -154,9 +161,7 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
     keeping the approximation positive definite.  ValueError unless
     max_iter >= 0 and grad_tol >= 0.
     """
-    if not (max_iter >= 0 and grad_tol >= 0):
-        raise ValueError(f"need max_iter >= 0 and grad_tol >= 0, got "
-                         f"{max_iter!r} and {grad_tol!r}")
+    _check_stopping(max_iter, grad_tol)
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("x0 must be a 1-d vector")
@@ -241,6 +246,132 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         x, z, f, g, hg = x_new, z_new, f_new, g_new, hg_new
         iterations += 1
 
+    return OptimResult(x_star=x, f_star=f, grad_norm=gnorm,
+                       iterations=iterations, status=status)
+
+
+def _held(x: np.ndarray, g: np.ndarray, lower: float) -> np.ndarray:
+    """The coordinates at the bound whose gradient pushes them below it."""
+    return (x <= lower) & (g > 0.0)
+
+
+def _projected_norm(x: np.ndarray, g: np.ndarray, lower: float) -> float:
+    """max |g_j| over the coordinates not held at the bound: the
+    first-order optimality measure of min f subject to x >= lower."""
+    return float(np.max(np.abs(g[~_held(x, g, lower)]), initial=0.0))
+
+
+def _newton_direction(h: np.ndarray, g: np.ndarray, lo: np.ndarray,
+                      held: np.ndarray) -> np.ndarray:
+    """A step d >= lo that lowers the model g'd + d'h d/2 from d = 0,
+    with d = 0 on the held coordinates.
+
+    The free coordinates take the Newton step of their block of h.
+    Where that step would cross a bound, it stops at the first crossing,
+    the crossing coordinate is held at its bound, and the rest re-solve
+    from there: one pass of the primal active-set method for the box
+    constrained model, so each piece lowers the model further.
+    """
+    d = np.zeros_like(g)
+    held = held.copy()
+    while True:
+        free = ~held
+        target = d.copy()
+        target[free] = np.linalg.solve(h[np.ix_(free, free)],
+                                       -(g[free] + h[np.ix_(free, held)] @ d[held]))
+        cross = free & (target < lo)
+        if not cross.any():
+            return target
+        step = target - d
+        ratios = (lo - d)[cross] / step[cross]
+        k = np.flatnonzero(cross)[np.argmin(ratios)]
+        d += float(np.min(ratios)) * step
+        d[k] = lo[k]
+        held[k] = True
+
+
+def _arc_search(obj: Objective, x: np.ndarray, f: float, g: np.ndarray,
+                p: np.ndarray, lower: float, gnorm: float):
+    """Armijo backtracking from unit step along the projection arc
+    x(t) = max(x + t p, lower): a trial passes when
+    f(x(t)) <= f + ARMIJO_C g'(x(t) - x).
+
+    Non-finite trials are rejected.  Once the predicted decrease
+    -g'(x(t) - x) is below the value's resolution, PLATEAU_SLACK
+    relative to f, the value cannot referee; a trial no more than that
+    above f then passes when it lowers the projected gradient norm below
+    gnorm.  Returns (x(t), f, g) or None, as _backtrack does.
+    """
+    noise = PLATEAU_SLACK * max(1.0, abs(f))
+    step = 1.0
+    for _ in range(MAX_HALVINGS):
+        x_new = np.maximum(x + step * p, lower)
+        if np.array_equal(x_new, x):
+            return None
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f_new, g_new = obj(x_new)
+        f_new = float(f_new)
+        if np.isfinite(f_new) and np.all(np.isfinite(g_new)):
+            decrease = -float(g @ (x_new - x))
+            if f_new <= f - ARMIJO_C * decrease:
+                return x_new, f_new, g_new
+            if (decrease <= noise and f_new <= f + noise
+                    and _projected_norm(x_new, g_new, lower) < gnorm):
+                return x_new, f_new, g_new
+        step *= ARMIJO_SHRINK
+    return None
+
+
+def _projected_newton(obj: Objective, hess: Callable, x0, lower: float,
+                      max_iter: int = 100,
+                      grad_tol: float = 1e-8) -> OptimResult:
+    """Minimize obj over x >= lower by projected Newton (Bertsekas,
+    SIAM J. Control Optim. 20, 1982).
+
+    obj maps x to (value, gradient), hess maps x to the Hessian matrix,
+    and lower bounds every coordinate.  The coordinates at the bound
+    whose gradient is positive are held there; the others take the
+    Newton step of their block of the Hessian, followed along the
+    bounds it meets (_newton_direction), and the step is searched along
+    the projection arc (_arc_search).  When that search fails, or the
+    block is singular, one retry moves every coordinate by its gradient
+    scaled by the Hessian diagonal, projected onto the bound.
+
+    Stops when the projected gradient norm (_projected_norm) drops below
+    grad_tol ("converged"), after max_iter steps ("max_iter"), or when
+    the retry finds no decrease either ("line_search_failed").
+    ValueError unless max_iter >= 0 and grad_tol >= 0.
+    """
+    _check_stopping(max_iter, grad_tol)
+    x = np.maximum(np.array(x0, dtype=float), lower)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, g = obj(x)
+    f = float(f)
+    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+        raise ValueError("objective is not finite at the starting point")
+    iterations = 0
+    while True:
+        gnorm = _projected_norm(x, g, lower)
+        if gnorm < grad_tol:
+            status = "converged"
+            break
+        if iterations >= max_iter:
+            status = "max_iter"
+            break
+        h = hess(x)
+        try:
+            p = _newton_direction(h, g, lower - x, _held(x, g, lower))
+        except np.linalg.LinAlgError:
+            trial = None
+        else:
+            trial = _arc_search(obj, x, f, g, p, lower, gnorm)
+        if trial is None:
+            trial = _arc_search(obj, x, f, g, -g / np.diag(h), lower, gnorm)
+        if trial is None:
+            status = "line_search_failed"
+            break
+        x, f, g = trial
+        iterations += 1
     return OptimResult(x_star=x, f_star=f, grad_norm=gnorm,
                        iterations=iterations, status=status)
 

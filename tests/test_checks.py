@@ -61,8 +61,7 @@ def test_improper_loss_is_detected():
     broken = dataclasses.replace(
         loss,
         ell_pos=lambda y: 1.5 * loss.ell_pos(y),
-        ell_pos1=lambda y: 1.5 * loss.ell_pos1(y),
-        ell_pos2=lambda y: 1.5 * loss.ell_pos2(y))
+        ell_pos1=lambda y: 1.5 * loss.ell_pos1(y))
     res = properness_residuals(broken, [0.3, 0.6])
     assert float(np.min(res)) > 1e-2
 

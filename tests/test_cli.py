@@ -207,18 +207,19 @@ def test_cross_validation_resolves_the_median_sigma_once(tmp_path,
 
 
 def test_unconverged_fold_fits_are_counted_and_warned(tmp_path, capsys):
-    # 3 of the 15 fold fits end max_iter; the selection is unchanged
+    # a cap of 6 Newton steps stops 2 of the 15 fold fits short; the
+    # selection is the uncapped one, and the final fit converges in 4
     out = tmp_path / "cv"
-    assert main(["fit", "--family", "poly", "--k", "6", "--n", "20",
+    assert main(["fit", "--family", "poly", "--k", "1", "--n", "20",
                  "--m", "20", "--seed", "3", "--alpha", "cv",
-                 "--out", str(out)]) == 0
+                 "--max-iter", "6", "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["cv_unconverged"] == [[10.0, 0], [0.1, 2], [0.001, 1]]
-    assert metrics["alpha"] == 0.001
+    assert metrics["cv_unconverged"] == [[10.0, 1], [0.1, 0], [0.001, 1]]
+    assert metrics["alpha"] == 0.1
     assert metrics["status"] == "converged"
     assert capsys.readouterr().err == (
         "warning: cross-validation fold fits ended unconverged: "
-        "2 of 5 at alpha 0.1, 1 of 5 at alpha 0.001\n")
+        "1 of 5 at alpha 10, 1 of 5 at alpha 0.001\n")
     assert main(["fit", "--family", "lr", "--n", "10", "--m", "10",
                  "--out", str(out)]) == 0
     assert json.loads((out / "metrics.json").read_text())[
@@ -237,9 +238,9 @@ def test_serial_and_forked_fits_write_the_same_bytes(tmp_path, usable_cpus,
     for cpus in (1, 3):
         usable_cpus(cpus)
         out = tmp_path / str(cpus)
-        assert main(["fit", "--family", "poly", "--k", "6", "--n", "20",
+        assert main(["fit", "--family", "poly", "--k", "1", "--n", "20",
                      "--m", "20", "--seed", "3", "--alpha", "cv",
-                     "--out", str(out / "cv")]) == 0
+                     "--max-iter", "6", "--out", str(out / "cv")]) == 0
         assert main(["fig2", "--sizes", "10", "--alphas", "1e-6,0.01",
                      "--n-seeds", "3", "--grid-n", "21",
                      "--out", str(out / "fig2")]) == 0
@@ -418,6 +419,107 @@ def test_config_integer_options_take_integers_and_integer_strings(tmp_path):
     assert (metrics["n"], metrics["m"]) == (7, 6)
 
 
+@pytest.mark.parametrize("command,config,err", [
+    ("fit", {"alpha": True}, "expected a number, got True"),
+    ("fit", {"offset": True, "kernel": "polynomial"},
+     "expected a number, got True"),
+    ("fit", {"cv_alphas": [1.0, False], "alpha": "cv"},
+     "expected a number, got False"),
+    ("fit", {"sigma": [1.0]}, "expected a number, got [1.0]"),
+    ("fig2", {"alphas": [0.01, True]}, "expected a number, got True"),
+])
+def test_config_float_options_refuse_bools(tmp_path, capsys, command,
+                                           config, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "x")]
+    if command == "fit":
+        args += ["--family", "kulsif", "--solver", "closed-form"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_float_options_take_numbers_and_numeric_strings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "kulsif", "solver": "closed-form",
+                               "kernel": "polynomial", "alpha": "0.5",
+                               "offset": 2, "n": 5, "m": 5}))
+    assert main(["fit", "--config", str(cfg),
+                 "--out", str(tmp_path / "fit")]) == 0
+    model = json.loads((tmp_path / "fit" / "model.json").read_text())
+    assert (model["alpha"], model["kernel"]["offset"]) == (0.5, 2.0)
+
+
+def test_refused_fit_builds_no_gram_and_leaves_no_directory(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    calls = []
+    monkeypatch.setattr(dre, "median_gram",
+                        lambda *args: calls.append(args))
+    out = tmp_path / "refused"
+    assert main(["fit", "--family", "kulsif", "--n", "10", "--m", "10",
+                 "--max-iter", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: need max_iter >= 0 and grad_tol >= 0, got -1 and 1e-08\n")
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,solver", [
+    (["--family", "ew"], "newton"),
+    (["--family", "ew", "--alpha", "0"], "bfgs"),
+    (["--family", "kulsif", "--solver", "closed-form"], "closed_form"),
+])
+def test_metrics_name_the_solver_that_ran(tmp_path, args, solver):
+    # which fits take which solver is pinned in test_dre
+    out = tmp_path / "fit"
+    assert main(["fit", "--n", "10", "--m", "10", "--max-iter", "20", *args,
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["solver"] == solver
+
+
+@pytest.mark.parametrize("n,seed", [
+    *((100, seed) for seed in (31, 139, 201, 203, 205, 272, 329, 336, 458,
+                               465, 468, 512, 525, 533, 535, 599)),
+    (50, 2), (20, 0)])
+def test_poly6_fits_that_ended_max_iter_under_bfgs_converge(tmp_path, capsys,
+                                                           n, seed):
+    # BFGS ran each of these fits to max_iter, with one Q score at the
+    # kink of the loss; projected Newton holds that coordinate at its
+    # bound instead
+    out = tmp_path / "fit"
+    assert main(["fit", "--family", "poly", "--k", "6", "--n", str(n),
+                 "--m", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert (metrics["status"], metrics["solver"]) == ("converged", "newton")
+    assert metrics["grad_norm"] < 1e-8
+    assert capsys.readouterr().err == ""
+
+
+def test_infinite_sigma_is_a_usage_error(tmp_path, capsys):
+    # inf would be written to model.json as Infinity, which is not JSON
+    out = tmp_path / "fit"
+    assert main(["fit", "--family", "kulsif", "--n", "5", "--m", "5",
+                 "--sigma", "inf", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: gaussian kernel needs a finite sigma > 0 or 'median'\n")
+    assert not out.exists()
+    assert main(["fit", "--family", "kulsif", "--n", "5", "--m", "5",
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "model.json").read_text())
+    doc["kernel"]["sigma"] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(doc))
+    assert "Infinity" in bad.read_text()
+    assert main(["eval", "--model", str(bad),
+                 "--out", str(tmp_path / "eval")]) == 1
+    assert capsys.readouterr().err == (
+        "error: gaussian kernel needs a finite sigma > 0 or 'median'\n")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_model_file_errors(tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
@@ -437,7 +539,7 @@ def test_eval_model_file_errors(tmp_path, capsys):
         assert main(["eval", "--model", str(bad),
                      "--out", str(tmp_path / "z")]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: gaussian kernel needs sigma > 0")
+            "error: gaussian kernel needs a finite sigma > 0")
     # a malformed kernel or coefficient vector is a usage error that
     # names the field, not a traceback or a raw matmul message
     good = json.loads((tmp_path / "fit" / "model.json").read_text())
@@ -618,7 +720,7 @@ def test_negative_max_iter_or_bad_grad_tol_is_a_usage_error(tmp_path, capsys,
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need max_iter >= 0 and grad_tol >= 0")
-    assert not any((tmp_path / "x").iterdir())
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_refuses_an_empty_csv(tmp_path, capsys):

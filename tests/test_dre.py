@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from ratioloss import (GRAM_JITTER, FitError, KernelSpec, PiecewisePairSpec,
-                       RatioModel, Rng, SampleSet, builtin_generator,
+                       RatioModel, Rng, SampleSet, bfgs, builtin_generator,
                        cross_validate_alpha, default_pair, empirical_risk,
                        family_loss, fit, grad_check, gram,
                        kulsif_fit_closed_form, median_heuristic,
                        population_fit_parametric, predict_ratio,
                        sample_piecewise, sup_error, piecewise_beta)
+from ratioloss import dre, optim
 from ratioloss.dre import _run_jobs, _select_alpha
 
 
@@ -116,6 +117,103 @@ def test_bfgs_fit_matches_closed_form(seed, n, alpha):
                          - predict_ratio(iterative, xs))) < 1e-5
 
 
+@pytest.mark.parametrize("family,k", [("ew", 0.0), ("poly", 1.0),
+                                      ("poly", 6.0)])
+@pytest.mark.parametrize("alpha", [1e-6, 1e-2, 1.0])
+def test_dual_newton_fit_reaches_the_minimum(family, k, alpha):
+    # projected Newton on the Q-block dual against BFGS run on to
+    # grad_tol 1e-14 on the primal: no higher risk, the P coefficients of
+    # the dual form, and no Q coordinate held at its bound while the dual
+    # gradient pulls it up
+    s = small_samples(n=20, m=24, seed=1)
+    kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
+    loss = family_loss(family, k=k)
+    model = fit(s, loss, kernel, alpha, max_iter=300)
+    assert model.status == "converged"
+    g = gram(kernel, s.pooled, s.pooled)
+    ref = bfgs(lambda c: empirical_risk(loss, g, s.labels, c, alpha),
+               np.zeros(44), max_iter=3000, grad_tol=1e-14)
+    assert model.train_risk <= ref.f_star + 1e-12 * max(1.0,
+                                                       abs(ref.f_star))
+    rho = 2.0 * alpha * 44
+    assert np.all(model.coeffs[:20] == 1.0 / rho)
+    beta = -rho * model.coeffs[20:]
+    lower = float(loss.ratio_map.g(-np.inf))
+    held = np.abs(beta - lower) <= 1e-12 * abs(lower)
+    dual_grad = loss.ratio_map.g_inv(beta) - g[20:] @ model.coeffs
+    assert np.all(dual_grad[held] >= -1e-8)
+
+
+def test_dual_newton_fit_with_repeated_q_points_converges(monkeypatch):
+    # repeated Q points repeat rows of the dual Hessian; once their
+    # ratios reach the bound the Newton block is singular, and those
+    # steps fall back to the diagonally scaled gradient
+    singular = []
+
+    def watched(*args):
+        try:
+            return real(*args)
+        except np.linalg.LinAlgError:
+            singular.append(None)
+            raise
+
+    real = optim._newton_direction
+    monkeypatch.setattr(optim, "_newton_direction", watched)
+    spec = default_pair()
+    rng = Rng(0)
+    xs_q = sample_piecewise(spec, "q", 15, rng, name="q")
+    s = SampleSet(xs_p=sample_piecewise(spec, "p", 30, rng, name="p"),
+                  xs_q=np.concatenate([xs_q, xs_q, xs_q[:5]]))
+    kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
+    model = fit(s, family_loss("poly", k=6.0), kernel, 1e-6, max_iter=300)
+    assert model.status == "converged"
+    assert singular
+
+
+def test_solver_selection(monkeypatch):
+    # projected Newton takes canonical-link fits with alpha > 0 and at
+    # most DUAL_NEWTON_MAX_Q Q points; every other fit runs bfgs
+    used = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            used.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(dre, "_projected_newton",
+                        spy("newton", optim._projected_newton))
+    monkeypatch.setattr(dre, "bfgs", spy("bfgs", optim.bfgs))
+    assert dre.DUAL_NEWTON_MAX_Q == 128
+    cases = [("ew", 0.0, 0.1, 128, "newton"),
+             ("poly", 6.0, 0.1, 128, "newton"),
+             ("ew", 0.0, 0.1, 129, "bfgs"), ("poly", 6.0, 0.1, 129, "bfgs"),
+             ("ew", 0.0, 0.0, 10, "bfgs"), ("poly", 1.0, 0.0, 10, "bfgs")]
+    cases += [(name, 0.0, 0.1, 10, "bfgs")
+              for name in ("lr", "boost", "klest", "kulsif")]
+    kernel = KernelSpec(kind="gaussian", sigma=1.0)
+    for family, k, alpha, m, solver in cases:
+        used.clear()
+        fit(small_samples(n=5, m=m), family_loss(family, k=k), kernel,
+            alpha, max_iter=5, clamp_budget=None)
+        assert used == [solver], (family, k, alpha, m)
+
+
+def test_train_risk_is_the_risk_at_the_returned_coefficients():
+    # BFGS's carried scores drift from G c on this fit: the value it
+    # carries to the end reads 0.3026, where F(c) is 0.4093
+    spec = default_pair()
+    rng = Rng(0)
+    s = SampleSet(xs_p=sample_piecewise(spec, "p", 800, rng, name="cli/fit"),
+                  xs_q=sample_piecewise(spec, "q", 400, rng, name="cli/fit"))
+    loss = family_loss("lr")
+    model = fit(s, loss, KernelSpec(kind="gaussian", sigma="median"), 1e-4,
+                max_iter=100, clamp_budget=None)
+    g = gram(model.kernel, s.pooled, s.pooled)
+    f, _ = empirical_risk(loss, g, s.labels, model.coeffs, 1e-4)
+    assert abs(model.train_risk - f) <= 1e-12 * abs(f)
+
+
 def test_fit_validation_and_budget():
     s = small_samples()
     kernel = KernelSpec(kind="gaussian", sigma=1.0)
@@ -160,6 +258,9 @@ def test_cross_validation_selects_from_the_table():
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+needs_openblas = pytest.mark.skipif(
+    dre._openblas_threads() is None,
+    reason="numpy exports no OpenBLAS thread control")
 
 
 def _assert_no_child_left():
@@ -251,6 +352,61 @@ def test_an_interrupted_caller_reaps_its_workers(usable_cpus):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+@needs_fork
+@needs_openblas
+def test_fit_workers_inherit_one_openblas_thread(usable_cpus):
+    # the caller sets one thread just before it forks and restores its
+    # own count after a normal return, a failing job and an interrupt
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    def failing(i):
+        raise FitError(f"job {i}")
+
+    get, set_threads = dre._openblas_threads()
+    saved = get()
+    usable_cpus(2)
+    parent = os.getpid()
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        set_threads(3)
+        assert _run_jobs(lambda i: (os.getpid() != parent, get()), 4) == [
+            (True, 1)] * 4
+        assert get() == 3
+        with pytest.raises(FitError, match="^job 0$"):
+            _run_jobs(failing, 4)
+        assert get() == 3
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Interrupted):
+            _run_jobs(lambda i: time.sleep(30), 2)
+        assert get() == 3
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        set_threads(saved)
+    _assert_no_child_left()
+
+
+@needs_fork
+@needs_openblas
+def test_without_openblas_thread_control_workers_keep_the_count(
+        usable_cpus, monkeypatch):
+    get, set_threads = dre._openblas_threads()
+    saved = get()
+    usable_cpus(2)
+    monkeypatch.setattr(dre, "_openblas_threads", lambda: None)
+    try:
+        set_threads(3)
+        assert _run_jobs(lambda i: (i, get()), 4) == [(i, 3) for i in range(4)]
+        assert get() == 3
+    finally:
+        set_threads(saved)
     _assert_no_child_left()
 
 

@@ -31,10 +31,11 @@ def test_figure2_reduced():
 
 
 def test_figure2_counts_unconverged_fits():
-    # at alpha 1e-6 three of the four ew fits on 5 + 5 points stop at
-    # max_iter; closed-form kulsif fits never count
+    # capped at 6 Newton steps, three of the four ew fits on 5 + 5
+    # points stop at max_iter at alpha 1e-6 and none at 1e-2;
+    # closed-form kulsif fits never count
     res = figure2(seed=0, sizes=(10,), alphas=(1e-6, 1e-2), n_seeds=4,
-                  grid_n=21, max_iter=200)
+                  grid_n=21, max_iter=6)
     assert [(c.family, c.alpha, c.unconverged) for c in res["cells"]] == [
         ("kulsif", 1e-6, 0), ("kulsif", 1e-2, 0),
         ("ew", 1e-6, 3), ("ew", 1e-2, 0)]

@@ -26,9 +26,11 @@ def test_kernel_spec_validation():
         KernelSpec(kind="laplace", sigma=1.0)
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), "wide", "Median"])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), "wide",
+                                   "Median"])
 def test_gaussian_sigma_is_a_positive_number_or_median(sigma):
-    with pytest.raises(ValueError, match="needs sigma > 0 or 'median'"):
+    with pytest.raises(ValueError,
+                       match="needs a finite sigma > 0 or 'median'"):
         KernelSpec(kind="gaussian", sigma=sigma)
 
 

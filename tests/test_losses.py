@@ -70,7 +70,6 @@ def test_klest_denominator_loss_extends_linearly():
     y = np.array([-3.0, -0.5, 0.0, 2.0])
     assert np.array_equal(loss.ell_neg(y), y)
     assert np.array_equal(loss.ell_neg1(y), np.ones(4))
-    assert np.array_equal(loss.ell_neg2(y), np.zeros(4))
 
 
 def test_boost_partial_losses_are_exponential():

@@ -1,4 +1,5 @@
-"""BFGS minimizer and gradient checker."""
+"""BFGS and projected Newton minimizers and gradient checker."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from ratioloss import (KernelSpec, Rng, SampleSet, bfgs, default_pair, dre,
                        empirical_risk, family_loss, fit, grad_check, gram,
                        median_heuristic, optim, sample_piecewise)
-from ratioloss.optim import CURVATURE_FLOOR, OptimResult, _backtrack
+from ratioloss.optim import (CURVATURE_FLOOR, OptimResult, _backtrack,
+                             _projected_newton)
 
 
 def spd_objective(a, b):
@@ -343,6 +345,7 @@ def test_kernel_fit_takes_two_gram_products_per_iteration(monkeypatch):
 
     monkeypatch.setattr(dre, "gram", counting_gram)
     monkeypatch.setattr(dre, "bfgs", counting_bfgs)
+    monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew by BFGS
     s, kernel = _ew_samples()
     model = fit(s, family_loss("ew"), kernel, 1e-2, max_iter=300)
     assert model.status == "converged"
@@ -351,9 +354,10 @@ def test_kernel_fit_takes_two_gram_products_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("family,alpha", [("ew", 1e-2), ("kulsif", 1e-3)])
-def test_score_space_fit_matches_dense_reference(family, alpha):
+def test_score_space_fit_matches_dense_reference(monkeypatch, family, alpha):
     # fit carries the scores along each line; reference_bfgs recomputes
     # G c and G v at every trial of the same line search
+    monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew by BFGS
     s, kernel = _ew_samples()
     loss = family_loss(family)
     g = gram(kernel, s.pooled, s.pooled)
@@ -377,6 +381,7 @@ def test_carried_scores_stay_on_the_gram_image(monkeypatch):
         return optim.bfgs(recorded, *args, **kwargs)
 
     monkeypatch.setattr(dre, "bfgs", recording_bfgs)
+    monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew by BFGS
     s, kernel = _ew_samples()
     model = fit(s, family_loss("ew"), kernel, 1e-6, max_iter=1000)
     assert model.iterations >= 200
@@ -443,3 +448,58 @@ def test_grad_check_reports_a_nan_gradient():
         g[1] = np.nan
         return float(x @ x), g
     assert np.isnan(grad_check(obj, np.array([1.0, -2.0, 0.5])))
+
+
+def _box_kkt_point(a, b, lower):
+    """The minimizer of x'a x/2 - b'x over x >= lower for a positive
+    definite a: the one free set whose solve is feasible and leaves
+    every held coordinate a nonnegative gradient."""
+    n = len(b)
+    for mask in itertools.product([False, True], repeat=n):
+        free = np.array(mask)
+        x = np.full(n, lower)
+        x[free] = np.linalg.solve(a[np.ix_(free, free)],
+                                  b[free] - a[np.ix_(free, ~free)] @ x[~free])
+        if np.all(x >= lower) and np.all((a @ x - b)[~free] >= 0.0):
+            return x
+    raise AssertionError("no KKT point")
+
+
+@pytest.mark.parametrize("lower", [0.0, -0.3])
+def test_projected_newton_reaches_the_kkt_point_of_box_quadratics(lower):
+    # random SPD quadratics with up to half their coordinates at the
+    # bound, each against its KKT point found by trying every free set
+    rng = np.random.default_rng(11)
+    for n in (3, 5, 8, 10):
+        m = rng.standard_normal((n, n))
+        a = m.T @ m + 0.5 * np.eye(n)
+        b = rng.standard_normal(n)
+        res = _projected_newton(spd_objective(a, b), lambda x, a=a: a,
+                                np.ones(n), lower, max_iter=50,
+                                grad_tol=1e-12)
+        assert res.status == "converged"
+        assert np.all(res.x_star >= lower)
+        assert np.max(np.abs(res.x_star - _box_kkt_point(a, b, lower))) <= 1e-8
+
+
+def test_projected_newton_without_a_bound_is_one_newton_step():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6))
+    a = m.T @ m + np.eye(6)
+    b = rng.standard_normal(6)
+    res = _projected_newton(spd_objective(a, b), lambda x: a, np.ones(6),
+                            -np.inf, grad_tol=1e-10)
+    assert (res.status, res.iterations) == ("converged", 1)
+    assert np.allclose(res.x_star, np.linalg.solve(a, b), atol=1e-12)
+
+
+def test_projected_newton_shares_the_stopping_checks():
+    obj = spd_objective(np.eye(2), np.ones(2))
+    for max_iter, grad_tol in ((-1, 1e-8), (10, np.nan)):
+        with pytest.raises(ValueError,
+                           match="max_iter >= 0 and grad_tol >= 0"):
+            _projected_newton(obj, lambda x: np.eye(2), np.zeros(2), 0.0,
+                              max_iter=max_iter, grad_tol=grad_tol)
+    res = _projected_newton(obj, lambda x: np.eye(2), np.zeros(2), 0.0,
+                            max_iter=0)
+    assert (res.status, res.iterations, res.grad_norm) == ("max_iter", 0, 1.0)
