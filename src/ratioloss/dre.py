@@ -432,8 +432,8 @@ def _run_jobs(job: Callable[[int], object], n_jobs: int) -> list:
 
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS bundled with
-    numpy's wheels, or None where numpy's core extension exports neither
-    (another BLAS, or an older wheel)."""
+    numpy's wheels, or None where numpy's core extension does not export
+    both (another BLAS, or an older wheel)."""
     try:
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
