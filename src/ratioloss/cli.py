@@ -20,9 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .checks import run_all
-from .dre import (DUAL_NEWTON_MAX_Q, FitError, RatioModel, SampleSet,
-                  _solver, cross_validate_alpha, fit, kulsif_fit_closed_form,
-                  predict_ratio)
+from .dre import (FitError, RatioModel, SampleSet, cross_validate_alpha, fit,
+                  kulsif_fit_closed_form, predict_ratio)
 from .figures import FIGURE1_FAMILIES, SUP_INTERVAL, figure1, figure2, figure3
 from .generators import DOMAIN_EPS, FAMILY_NAMES, RATIO_CAP
 from .kernels import MEDIAN, KernelSpec, as_points
@@ -148,9 +147,8 @@ SCHEMAS: dict = {
         "degree": (_int, 3, "polynomial kernel degree"),
         "offset": (_float, 1.0, "polynomial kernel offset"),
         "solver": (_choice("bfgs", "closed-form"), "bfgs",
-                   "bfgs fits iteratively: projected Newton on the dual for "
-                   "poly and ew at alpha > 0 with m <= "
-                   f"{DUAL_NEWTON_MAX_Q}, BFGS otherwise; "
+                   "bfgs fits iteratively, by BFGS or by projected Newton "
+                   "on the dual, and metrics.json names the one that ran; "
                    "closed-form is available for the kulsif family"),
         "max_iter": (_int, 300, "iteration cap: BFGS iterations or Newton "
                      "steps"),
@@ -275,7 +273,7 @@ def cmd_loss_show(o: dict) -> int:
                 {"family": o["family"], "k": o["k"], "c1": o["c1"],
                  "c2": o["c2"], "beta_lo": o["beta_lo"],
                  "beta_hi": o["beta_hi"], "n": o["n"],
-                 "canonical": loss.ratio_map.canonical_for is not None})
+                 "canonical": loss.ratio_map.is_canonical_for(gen)})
     return 0
 
 
@@ -326,11 +324,9 @@ def cmd_fit(o: dict) -> int:
                   + ", ".join(short), file=sys.stderr)
     if o["solver"] == "closed-form":
         model = kulsif_fit_closed_form(samples, kernel, alpha)
-        solver = "closed_form"
     else:
         model = fit(samples, loss, kernel, alpha, max_iter=o["max_iter"],
                     grad_tol=o["grad_tol"])
-        solver = _solver(loss, alpha, len(samples.xs_q))
         if model.unconverged:
             print(f"warning: fit ended {model.status} after "
                   f"{model.iterations} iterations", file=sys.stderr)
@@ -346,7 +342,8 @@ def cmd_fit(o: dict) -> int:
     _write_json(os.path.join(out, "metrics.json"), {
         "train_risk": model.train_risk, "status": model.status,
         "iterations": model.iterations, "grad_norm": model.grad_norm,
-        "solver": solver, "n": len(samples.xs_p), "m": len(samples.xs_q), "seed": o["seed"],
+        "solver": model.solver, "n": len(samples.xs_p),
+        "m": len(samples.xs_q), "seed": o["seed"],
         "alpha": alpha, "cv_table": None if cv is None else cv.table,
         "cv_unconverged": None if cv is None else cv.unconverged,
     })
@@ -404,18 +401,20 @@ def cmd_eval(o: dict) -> int:
 
 def cmd_fig1(o: dict) -> int:
     res = figure1(quad_nodes=o["quad_nodes"], max_iter=o["max_iter"])
+    sups, fits = res["sup_errors"], res["fits"]
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])
     out = _ensure_out(o["out"])
     _write_csv(os.path.join(out, "fig1_curves.csv"), [
         ("x", grid), ("beta", piecewise_beta(spec, grid)),
-        *((f"betahat_{name}", res["fits"][name].beta_hat(grid))
+        *((f"betahat_{name}", fits[name].beta_hat(grid))
           for name in FIGURE1_FAMILIES)])
-    sups = res["sup_errors"]
     ranking = sorted(sups, key=lambda n: sups[n])
     _write_json(os.path.join(out, "fig1_summary.json"), {
         "sup_errors": sups,
-        "theta": {n: res["fits"][n].theta for n in FIGURE1_FAMILIES},
+        "theta": {n: fits[n].theta for n in FIGURE1_FAMILIES},
+        "status": {n: fits[n].status for n in FIGURE1_FAMILIES},
+        "iterations": {n: fits[n].iterations for n in FIGURE1_FAMILIES},
         "ranking": ranking,
         "sup_interval": SUP_INTERVAL,
     })
@@ -447,6 +446,7 @@ def cmd_fig3(o: dict) -> int:
                   noise_sigma=o["noise"], degree=o["degree"],
                   alpha=o["alpha"], quad_nodes=o["quad_nodes"],
                   max_iter=o["max_iter"], l2_nodes=o["l2_nodes"])
+    pop = res["population_fits"]  # ew and lr
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])
     out = _ensure_out(o["out"])
@@ -457,8 +457,9 @@ def cmd_fig3(o: dict) -> int:
     _write_json(os.path.join(out, "fig3_summary.json"), {
         "l2p_sq": res["l2p_sq"],
         "l2q_sq": res["l2q_sq"],
-        "population_theta": {n: res["population_fits"][n].theta
-                             for n in ("ew", "lr")},
+        "population_theta": {n: pop[n].theta for n in pop},
+        "population_status": {n: pop[n].status for n in pop},
+        "population_iterations": {n: pop[n].iterations for n in pop},
         "noise": o["noise"], "n_src": o["n_src"], "seed": o["seed"],
     })
     return 0

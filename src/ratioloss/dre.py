@@ -7,8 +7,8 @@ the penalized average classification risk
     (1/N) sum_i ell(y_i, f(x_i)) + alpha c' G c,
 
 and the ratio estimate is beta_hat(x) = g(f(x)) through the loss's
-ratio map.  Small canonical-link fits solve the dual by projected
-Newton, the rest run BFGS (see fit).
+ratio map.  _solver picks projected Newton on the dual or BFGS for
+each fit.
 """
 from __future__ import annotations
 
@@ -78,6 +78,7 @@ class RatioModel:
     status: str = ""
     iterations: int = 0
     grad_norm: Optional[float] = None  # final |g|_inf of an iterative fit
+    solver: str = ""  # "newton", "bfgs" or "closed_form": the one that ran
 
     def scores(self, xs) -> np.ndarray:
         return gram(self.kernel, xs, self.centers) @ self.coeffs
@@ -138,10 +139,9 @@ def _fit_setup(samples: SampleSet, kernel: KernelSpec, alpha: float):
 
 
 def _solver(loss: CompositeLoss, alpha: float, n_q: int) -> str:
-    """"newton" for a fit that fit solves in the dual, else "bfgs": a
-    canonical link, alpha > 0 and at most DUAL_NEWTON_MAX_Q Q points."""
-    rmap, gen = loss.ratio_map, loss.generator
-    canonical = rmap.canonical_for == (gen.name, gen.k)
+    """The solver of fit: "newton" for a canonical link, alpha > 0 and
+    at most DUAL_NEWTON_MAX_Q Q points, else "bfgs"."""
+    canonical = loss.ratio_map.is_canonical_for(loss.generator)
     return ("newton" if canonical and alpha > 0 and n_q <= DUAL_NEWTON_MAX_Q
             else "bfgs")
 
@@ -189,11 +189,10 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
         clamp_budget: Optional[float] = CLAMP_BUDGET) -> RatioModel:
     """Fit a kernel ratio model.
 
-    A fit that _solver names "newton" (canonical link, alpha > 0, at
-    most DUAL_NEWTON_MAX_Q Q points) solves its Q-block dual
-    (_dual_risk) by projected Newton from beta = 1; max_iter caps the
-    Newton steps, and grad_norm is the dual's projected gradient norm
-    in score units.  Every other fit runs BFGS from the zero
+    The model's solver is the one _solver names.  "newton" solves the
+    Q-block dual (_dual_risk) by projected Newton from beta = 1;
+    max_iter caps the Newton steps, and grad_norm is the dual's
+    projected gradient norm in score units.  "bfgs" runs from the zero
     coefficient vector, and grad_norm is |G u|_inf.  Either way
     train_risk is the penalized risk at the returned coefficients.
 
@@ -207,7 +206,8 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     _check_stopping(max_iter, grad_tol)
     centers, pos, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
     n_p = len(samples.xs_p)  # pooled points are P first, then Q
-    if _solver(loss, alpha, pos.size - n_p) == "newton":
+    solver = _solver(loss, alpha, pos.size - n_p)
+    if solver == "newton":
         rho = 2.0 * alpha * pos.size
         obj, hess = _dual_risk(loss, g_matrix[n_p:, n_p:],
                                np.sum(g_matrix[n_p:, :n_p], axis=1), rho)
@@ -231,7 +231,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
                        loss=loss,
                        train_risk=_risk(loss, pos, coeffs, scores, alpha),
                        status=res.status, iterations=res.iterations,
-                       grad_norm=res.grad_norm)
+                       grad_norm=res.grad_norm, solver=solver)
     if clamp_budget is not None:
         frac = _clamped_fraction(loss, scores)
         if frac > clamp_budget:
@@ -281,7 +281,8 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     loss = family_loss("kulsif")
     value = _risk(loss, pos, coeffs, g_matrix @ coeffs, alpha)
     return RatioModel(kernel=kernel, centers=centers, coeffs=coeffs,
-                      loss=loss, train_risk=value, status="closed_form")
+                      loss=loss, train_risk=value, status="closed_form",
+                      solver="closed_form")
 
 
 def _select_alpha(alphas: Sequence[float], risks: Sequence[float]) -> float:

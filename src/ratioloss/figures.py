@@ -61,12 +61,11 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
     """Small-sample ratio fits on the Gaussian pair across (size, alpha).
 
     kulsif is solved in closed form (its exact minimizer is the object
-    of interest); ew is fitted by dre.fit, which solves sizes with at
-    most DUAL_NEWTON_MAX_Q Q points by projected Newton.  Reports
-    max |beta_hat| on the evaluation grid per replicate, and per cell
-    how many replicates' fits ended neither converged nor in closed
-    form.  Every replicate samples its own named streams, so the fits
-    are independent and run on every usable CPU (see dre._run_jobs).
+    of interest); ew is fitted by dre.fit.  Reports max |beta_hat| on
+    the evaluation grid per replicate, and per cell how many
+    replicates' fits ended neither converged nor in closed form.  Every
+    replicate samples its own named streams, so the fits are
+    independent and run on every usable CPU (see dre._run_jobs).
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")

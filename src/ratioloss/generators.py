@@ -92,7 +92,7 @@ def _raw(f: Callable[[np.ndarray], np.ndarray]) -> ScalarMap:
 def builtin_generator(name: str, k: Optional[float] = None) -> BregmanGenerator:
     """Construct one of the named builtin generators.
 
-    Names: kulsif, lr, klest, boost, poly (needs k >= 0), ew.
+    Names: kulsif, lr, klest, boost, poly (needs a finite k >= 0), ew.
     """
     eps = DOMAIN_EPS
     if name == "kulsif":
@@ -142,8 +142,9 @@ def builtin_generator(name: str, k: Optional[float] = None) -> BregmanGenerator:
             inverse_phi1=inv,
         )
     if name == "poly":
-        if k is None or k < 0:
-            raise ValueError("poly generator needs k >= 0")
+        if k is None or not 0.0 <= k < np.inf:  # NaN fails too
+            raise ValueError(
+                f"poly generator needs a finite k >= 0, got {k!r}")
         k = float(k)
         if k == 0.0:
             return BregmanGenerator(

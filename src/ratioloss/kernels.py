@@ -106,11 +106,6 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     return np.power(k, spec.degree, out=k)
 
 
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Single kernel evaluation between two points."""
-    return float(gram(spec, np.atleast_1d(x), np.atleast_1d(y))[0, 0])
-
-
 def _median_sq_dist(sq: np.ndarray) -> float:
     """Median pairwise distance over pairs i < j, from the square
     matrix sq of squared distances.

@@ -15,7 +15,6 @@ ratio and beta_hat.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -33,24 +32,23 @@ class RatioMap:
     """Strictly increasing map g from scores to ratio estimates.
 
     g_inv is the inverse, g_inv1/g_inv2 its first two derivatives.
-    canonical_for is the (name, k) of the generator whose canonical link
-    this map is (g_inv == phi'), or None.
     """
 
     g: ScalarMap
     g_inv: ScalarMap
     g_inv1: ScalarMap
     g_inv2: ScalarMap
-    canonical_for: Optional[tuple] = None
 
     def g1(self, y):
         """dg/dy via the inverse-function rule."""
         return 1.0 / self.g_inv1(self.g(y))
 
-    def g2(self, y):
-        b = self.g(y)
-        d1 = self.g_inv1(b)
-        return -self.g_inv2(b) / d1 ** 3
+    def is_canonical_for(self, gen: BregmanGenerator) -> bool:
+        """Whether this map is the canonical link of gen: g_inv and its
+        two derivatives are gen's own phi1, phi2 and phi3, as
+        canonical_ratio_map(gen) builds it."""
+        return (self.g_inv, self.g_inv1, self.g_inv2) == (gen.phi1, gen.phi2,
+                                                          gen.phi3)
 
 
 def identity_ratio_map() -> RatioMap:
@@ -114,8 +112,7 @@ def canonical_ratio_map(gen: BregmanGenerator) -> RatioMap:
     """The canonical link for gen: scores live on the range of phi',
     and g = (phi')^{-1}."""
     g = gen.inverse_phi1 if gen.inverse_phi1 is not None else _newton_inverse(gen)
-    return RatioMap(g=g, g_inv=gen.phi1, g_inv1=gen.phi2, g_inv2=gen.phi3,
-                    canonical_for=(gen.name, gen.k))
+    return RatioMap(g=g, g_inv=gen.phi1, g_inv1=gen.phi2, g_inv2=gen.phi3)
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,6 @@ class CompositeLoss:
         eta = np.asarray(eta, dtype=float)
         return self.ratio_map.g_inv(eta / (1.0 - eta))
 
-    def ell(self, label: int, yhat):
-        if label == 1:
-            return self.ell_pos(yhat)
-        if label == -1:
-            return self.ell_neg(yhat)
-        raise ValueError("label must be +1 or -1")
-
 
 def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
                    c1: float = 0.0, c2: float = 0.0,
@@ -158,11 +148,13 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
     For the canonical link the positive partial loss reduces exactly to
     the linear form c1 + c2 - y, which is what gets implemented (it is
     also the analytic extension past the link's domain floor).
+    ValueError unless c1 and c2 are finite.
     """
-    canonical = rmap.canonical_for == (gen.name, gen.k)
+    if not (np.isfinite(c1) and np.isfinite(c2)):
+        raise ValueError(f"c1 and c2 must be finite, got {c1!r} and {c2!r}")
     g, phi, phi1, phi2 = rmap.g, gen.phi, gen.phi1, gen.phi2
 
-    if canonical:
+    if rmap.is_canonical_for(gen):
         ell_pos = lambda y: (c1 + c2) - np.asarray(y, dtype=float)
         ell_pos1 = lambda y: -np.ones_like(np.asarray(y, dtype=float))
     else:
@@ -189,7 +181,7 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
                                        float(score_bounds[1])))
 
 
-def family_loss(name: str, k: float = 0.0, c1: float = 0.0,
+def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
                 c2: float = 0.0) -> CompositeLoss:
     """The conventional (generator, ratio map) pairing for each family.
 
@@ -199,7 +191,11 @@ def family_loss(name: str, k: float = 0.0, c1: float = 0.0,
     are one-sided for the families whose losses extend smoothly through
     zero scores (only a ratio-cap explosion is degenerate there) and
     absent for ew, whose logarithmic map cannot explode at all.
+    ValueError for a non-finite k, whatever the family; only poly reads
+    k, and it also refuses None, which parse_family gives the others.
     """
+    if k is not None and not np.isfinite(k):
+        raise ValueError(f"k must be finite, got {k!r}")
     if name == "kulsif":
         return construct_loss(builtin_generator("kulsif"), identity_ratio_map(),
                               c1, c2, score_bounds=(-np.inf, RATIO_CAP))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from ratioloss import (KernelSpec, cli, dre, empirical_risk, family_loss,
-                       gram, kernels, median_heuristic, optim)
+                       figure1, figure3, gram, kernels, median_heuristic,
+                       optim)
 from ratioloss.cli import main
 
 
@@ -646,6 +647,9 @@ def test_fig_commands_reduced(tmp_path):
     assert sorted(summary["ranking"]) == sorted(
         ["lr", "kulsif", "poly1", "poly6", "ew"])
     assert read_header(f1 / "fig1_curves.csv")[:2] == ["x", "beta"]
+    fits = figure1(quad_nodes=201, max_iter=150)["fits"]
+    assert summary["status"] == {n: f.status for n, f in fits.items()}
+    assert summary["iterations"] == {n: f.iterations for n, f in fits.items()}
 
     f2 = tmp_path / "f2"
     assert main(["fig2", "--sizes", "10", "--alphas", "0.01",
@@ -662,6 +666,12 @@ def test_fig_commands_reduced(tmp_path):
                  "--out", str(f3)]) == 0
     summary = json.loads((f3 / "fig3_summary.json").read_text())
     assert set(summary["l2p_sq"]) == {"uniform", "exact", "ew", "lr"}
+    pop = figure3(n_src=50, n_tgt=50, quad_nodes=201, l2_nodes=501,
+                  max_iter=150)["population_fits"]
+    assert summary["population_status"] == {
+        n: f.status for n, f in pop.items()}
+    assert summary["population_iterations"] == {
+        n: f.iterations for n, f in pop.items()}
 
 
 def test_fig2_repeated_size_keeps_both_columns(tmp_path):
@@ -703,6 +713,30 @@ def test_non_finite_or_negative_noise_is_a_usage_error(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "error: noise_sigma must be finite and nonnegative\n")
     assert not (out / "fig3_summary.json").exists()
+
+
+@pytest.mark.parametrize("args,error", [
+    (["loss-show", "--family", "poly", "--k", "nan"],
+     "k must be finite, got nan"),
+    (["loss-show", "--family", "lr", "--c1", "nan"],
+     "c1 and c2 must be finite, got nan and 0.0"),
+    (["loss-show", "--family", "kulsif", "--c2", "inf"],
+     "c1 and c2 must be finite, got 0.0 and inf"),
+    (["fit", "--family", "lr", "--k", "nan", "--n", "10", "--m", "10"],
+     "k must be finite, got nan"),
+    (["fit", "--family", "poly", "--k", "inf", "--n", "10", "--m", "10"],
+     "k must be finite, got inf"),
+    (["fit", "--family", "poly", "--k", "nan", "--n", "10", "--m", "10"],
+     "k must be finite, got nan"),
+])
+def test_non_finite_k_c1_or_c2_is_a_usage_error(tmp_path, capsys, args,
+                                                 error):
+    # each used to run to NaN or Infinity outputs, or, for poly k nan, to
+    # fail with an error that did not name --k
+    out = tmp_path / "x"
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -12,6 +12,7 @@ import pytest
 
 from ratioloss import (GRAM_JITTER, FitError, KernelSpec, PiecewisePairSpec,
                        RatioModel, Rng, SampleSet, bfgs, builtin_generator,
+                       canonical_ratio_map, construct_loss,
                        cross_validate_alpha, default_pair, empirical_risk,
                        family_loss, fit, grad_check, gram,
                        kulsif_fit_closed_form, median_heuristic,
@@ -86,7 +87,7 @@ def test_closed_form_kulsif_at_alpha_zero_uses_the_jitter_ridge():
     s = small_samples(n=100, m=100)
     kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
     model = kulsif_fit_closed_form(s, kernel, alpha=0.0)
-    assert model.status == "closed_form"
+    assert (model.status, model.solver) == ("closed_form", "closed_form")
     c_p, c_q = model.coeffs[:100], model.coeffs[100:]
     assert np.all(c_p == 1.0 / GRAM_JITTER)
     g = gram(kernel, s.pooled, s.pooled)
@@ -172,7 +173,8 @@ def test_dual_newton_fit_with_repeated_q_points_converges(monkeypatch):
 
 def test_solver_selection(monkeypatch):
     # projected Newton takes canonical-link fits with alpha > 0 and at
-    # most DUAL_NEWTON_MAX_Q Q points; every other fit runs bfgs
+    # most DUAL_NEWTON_MAX_Q Q points; every other fit runs bfgs; the
+    # model names the solver that ran
     used = []
 
     def spy(name, real):
@@ -194,9 +196,29 @@ def test_solver_selection(monkeypatch):
     kernel = KernelSpec(kind="gaussian", sigma=1.0)
     for family, k, alpha, m, solver in cases:
         used.clear()
-        fit(small_samples(n=5, m=m), family_loss(family, k=k), kernel,
-            alpha, max_iter=5, clamp_budget=None)
+        model = fit(small_samples(n=5, m=m), family_loss(family, k=k),
+                    kernel, alpha, max_iter=5, clamp_budget=None)
         assert used == [solver], (family, k, alpha, m)
+        assert model.solver == solver, (family, k, alpha, m)
+
+
+def _canonical_lr():
+    gen = builtin_generator("lr")
+    return construct_loss(gen, canonical_ratio_map(gen))
+
+
+@pytest.mark.parametrize("make_loss", [
+    lambda: family_loss("poly", k=0.0), lambda: family_loss("poly", k=1.0),
+    lambda: family_loss("poly", k=6.0), lambda: family_loss("ew"),
+    _canonical_lr], ids=["poly0", "poly1", "poly6", "ew", "lr-canonical"])
+def test_losses_solved_in_the_dual_meet_its_assumptions(make_loss):
+    # _dual_risk takes ell_pos(y) = c - y and ell_neg'(y) = g(y)
+    loss = make_loss()
+    assert dre._solver(loss, 0.1, 10) == "newton"
+    y = loss.ratio_map.g_inv(np.geomspace(1e-2, 1e2, 41))
+    assert np.all(loss.ell_pos1(y) == -1.0)
+    g = loss.ratio_map.g(y)
+    assert np.all(np.abs(loss.ell_neg1(y) - g) <= 1e-12 * g)
 
 
 def test_train_risk_is_the_risk_at_the_returned_coefficients():

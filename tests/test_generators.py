@@ -96,6 +96,9 @@ def test_unknown_generator_rejected():
         builtin_generator("poly", k=-1.0)
     with pytest.raises(ValueError):
         builtin_generator("poly")
+    for k in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"finite k >= 0, got {k!r}"):
+            builtin_generator("poly", k=k)
 
 
 def test_two_point_kulsif_divergence():

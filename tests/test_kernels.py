@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratioloss import (MEDIAN, KernelSpec, as_points, gram, kernel_eval,
-                       median_gram, median_heuristic)
+from ratioloss import (MEDIAN, KernelSpec, as_points, gram, median_gram,
+                       median_heuristic)
 
 
 def test_kernel_spec_validation():
@@ -45,17 +45,17 @@ def test_median_sigma_is_resolved_by_fitting_not_by_gram():
 
 def test_gaussian_point_values():
     spec = KernelSpec(kind="gaussian", sigma=1.0)
-    assert kernel_eval(spec, 0.7, 0.7) == pytest.approx(1.0, abs=1e-15)
+    assert gram(spec, 0.7, 0.7)[0, 0] == pytest.approx(1.0, abs=1e-15)
     # squared distance 2 at bandwidth 1 gives exp(-1)
-    assert kernel_eval(spec, 0.0, np.sqrt(2.0)) == pytest.approx(np.exp(-1.0),
-                                                                 rel=1e-12)
+    assert gram(spec, 0.0, np.sqrt(2.0))[0, 0] == pytest.approx(np.exp(-1.0),
+                                                                rel=1e-12)
 
 
 def test_polynomial_point_values():
     spec = KernelSpec(kind="polynomial", degree=3)
-    assert kernel_eval(spec, 1.0, 2.0) == pytest.approx(27.0, abs=1e-12)
+    assert gram(spec, 1.0, 2.0)[0, 0] == pytest.approx(27.0, abs=1e-12)
     shifted = KernelSpec(kind="polynomial", degree=2, offset=0.5)
-    assert kernel_eval(shifted, 1.0, 2.0) == pytest.approx(6.25, abs=1e-12)
+    assert gram(shifted, 1.0, 2.0)[0, 0] == pytest.approx(6.25, abs=1e-12)
 
 
 def test_gram_shape_and_symmetry():

@@ -145,14 +145,9 @@ def test_lr_link_is_the_logit():
     loss = make_loss("lr")
     assert float(loss.link(0.5)) == pytest.approx(0.0, abs=1e-12)
     assert float(loss.link(0.75)) == pytest.approx(np.log(3.0), abs=1e-12)
-
-
-def test_ell_label_routing():
-    loss = make_loss("lr")
-    assert float(loss.ell(1, 0.0)) == pytest.approx(np.log(2.0))
-    assert float(loss.ell(-1, 0.0)) == pytest.approx(np.log(2.0))
-    with pytest.raises(ValueError):
-        loss.ell(0, 0.0)
+    # both partial losses are log 2 at the score of an even ratio
+    assert float(loss.ell_pos(0.0)) == pytest.approx(np.log(2.0))
+    assert float(loss.ell_neg(0.0)) == pytest.approx(np.log(2.0))
 
 
 def test_score_bounds_per_family():
@@ -167,7 +162,6 @@ def test_score_bounds_per_family():
 def test_ratio_map_chain_derivatives():
     rmap = exp_ratio_map(1.0)
     assert float(rmap.g1(0.3)) == pytest.approx(np.exp(0.3), rel=1e-12)
-    assert float(rmap.g2(0.3)) == pytest.approx(np.exp(0.3), rel=1e-12)
     with pytest.raises(ValueError):
         exp_ratio_map(0.0)
 
@@ -188,12 +182,24 @@ def test_canonical_link_is_matched_on_the_exact_exponent():
     gen = builtin_generator("poly", k=6.0)
     y = np.linspace(0.5, 18.0, 9)
     canonical = construct_loss(gen, canonical_ratio_map(gen))
+    assert canonical.ratio_map.is_canonical_for(gen)
     assert np.all(canonical.ell_pos1(y) == -1.0)
     near = canonical_ratio_map(builtin_generator("poly", k=6.0 + 1e-9))
-    assert near.canonical_for != canonical.ratio_map.canonical_for
+    assert not near.is_canonical_for(gen)
     slope = construct_loss(gen, near).ell_pos1(y)
     assert np.all(slope != -1.0)
     assert np.max(np.abs(slope + 1.0)) < 1e-8
+
+
+def test_canonical_link_is_matched_on_the_generator_not_its_name():
+    # kulsif renamed to poly k = 0 has phi' = x - 1, not x: its link
+    # sends y to y + 1, where poly k = 0's positive loss is -(y + 1)
+    impostor = dataclasses.replace(builtin_generator("kulsif"), name="poly",
+                                   k=0.0)
+    loss = construct_loss(builtin_generator("poly", k=0.0),
+                          canonical_ratio_map(impostor))
+    y = np.linspace(0.5, 18.0, 9)
+    assert np.allclose(loss.ell_pos(y), -(y + 1.0), rtol=0.0, atol=1e-12)
 
 
 def test_newton_fallback_inverts_canonical_link():
