@@ -168,7 +168,7 @@ SCHEMAS: dict = {
     "fig1": {
         "out": (str, _REQUIRED, "output directory"),
         "quad_nodes": (_int, 2001, "Simpson nodes per density piece"),
-        "max_iter": (_int, 400, "BFGS iteration cap"),
+        "max_iter": (_int, 400, "Newton step cap of the population fits"),
         "grid_n": (_int, 801, "rows in the curve table"),
     },
     "fig2": {
@@ -193,7 +193,7 @@ SCHEMAS: dict = {
         "alpha": (_float, 1e-32, "ridge weight for the regressions"),
         "quad_nodes": (_int, 2001, "Simpson nodes for the population fits"),
         "l2_nodes": (_int, 10001, "Simpson nodes for the error integrals"),
-        "max_iter": (_int, 400, "BFGS iteration cap"),
+        "max_iter": (_int, 400, "Newton step cap of the population fits"),
         "grid_n": (_int, 801, "rows in the curve table"),
     },
     "check": {

@@ -491,20 +491,12 @@ def _gather(running: dict, n_jobs: int, n_workers: int) -> list:
     return results
 
 
-def _softplus(t: float) -> float:
-    return float(np.logaddexp(0.0, t))
-
-
-def _sigmoid(t: float) -> float:
-    return float(0.5 * (1.0 + np.tanh(0.5 * t)))
-
-
 @dataclass
 class PopulationFit:
-    theta: np.ndarray  # (curvature, intercept), intercept > 0
+    theta: np.ndarray  # (curvature, intercept), intercept >= 0
     divergence: float
     status: str
-    iterations: int
+    iterations: int  # projected Newton steps
 
     def beta_hat(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -519,40 +511,54 @@ def population_fit_parametric(gen: BregmanGenerator,
                               theta0: tuple[float, float] = (1.0, 1.0)) -> PopulationFit:
     """Infinite-sample fit of beta_hat(x) = t1 x^2 + t2 on a piecewise pair.
 
-    Minimizes the Q-averaged divergence to the exact ratio by quadrature,
-    piece by piece so the integrand stays smooth.  The intercept is kept
-    positive through a softplus reparameterization; ratio evaluations are
-    floored at the generator's domain floor with a flat (zero-gradient)
-    extension below it.
+    Minimizes the Q-averaged divergence to the exact ratio over t1 and
+    t2 >= 0 by projected Newton, with max_iter capping its steps.  The
+    divergence is a Simpson sum over each piece's nodes, so the
+    integrand stays smooth; ratio evaluations are floored at the
+    generator's domain floor with a flat (zero-gradient) extension
+    below it.  The Hessian is the divergence's own where it is positive
+    definite, else its Gauss-Newton part (phi'' only), which is
+    positive semidefinite since phi is convex.  ValueError unless the
+    initial intercept is >= 0.
     """
+    if not float(theta0[1]) >= 0.0:
+        raise ValueError("initial intercept must be nonnegative")
     eps = gen.domain_eps
     pieces = list(spec.pieces(quad_nodes))
+    # one flat node array: x^2, Q mass q w and exact ratio per node
+    x2 = np.concatenate([xs ** 2 for xs, _, _, _ in pieces])
+    qw = np.concatenate([q * w for _, w, _, q in pieces])
+    beta = np.concatenate([np.full(xs.size, p / q) for xs, _, p, q in pieces])
 
-    def obj(z):
-        t1, tau = z
-        t2 = _softplus(tau)
-        value = 0.0
-        g1 = 0.0
-        g2 = 0.0
-        for xs, w, p_level, q_level in pieces:
-            beta_level = p_level / q_level
-            bh = t1 * xs ** 2 + t2
-            inside = bh > eps
-            bh_c = np.maximum(bh, eps)
-            value += q_level * float(w @ bregman_term(gen, beta_level, bh_c))
-            dd = -gen.phi2(bh_c) * (beta_level - bh_c) * inside
-            g1 += q_level * float(w @ (dd * xs ** 2))
-            g2 += q_level * float(w @ dd)
-        return value, np.array([g1, g2 * _sigmoid(tau)])
+    def floored(theta):
+        bh = theta[0] * x2 + theta[1]
+        return np.maximum(bh, eps), bh > eps
 
-    t2_0 = float(theta0[1])
-    if t2_0 <= 0:
-        raise ValueError("initial intercept must be positive")
-    tau0 = float(np.log(np.expm1(t2_0)))
-    res = bfgs(obj, np.array([float(theta0[0]), tau0]),
-               max_iter=max_iter, grad_tol=grad_tol)
-    theta = np.array([res.x_star[0], _softplus(res.x_star[1])])
-    return PopulationFit(theta=theta, divergence=res.f_star,
+    # sums by np.sum, not BLAS dot products: OpenBLAS splits long dots
+    # across threads, which would make the fit depend on the CPU set
+    def obj(theta):
+        bh, inside = floored(theta)
+        dd = qw * gen.phi2(bh) * (bh - beta) * inside
+        return (float(np.sum(qw * bregman_term(gen, beta, bh))),
+                np.array([np.sum(dd * x2), np.sum(dd)]))
+
+    def moments(c):
+        cx2 = c * x2
+        off = np.sum(cx2)
+        return np.array([[np.sum(cx2 * x2), off], [off, np.sum(c)]])
+
+    def hess(theta):
+        bh, inside = floored(theta)
+        gauss_newton = qw * gen.phi2(bh) * inside
+        h = moments(gauss_newton - qw * gen.phi3(bh) * (beta - bh) * inside)
+        if h[0, 0] > 0.0 and h[0, 0] * h[1, 1] > h[0, 1] ** 2:
+            return h
+        return moments(gauss_newton)
+
+    res = _projected_newton(obj, hess, np.array(theta0, dtype=float),
+                            np.array([-np.inf, 0.0]), max_iter=max_iter,
+                            grad_tol=grad_tol)
+    return PopulationFit(theta=res.x_star, divergence=res.f_star,
                          status=res.status, iterations=res.iterations)
 
 

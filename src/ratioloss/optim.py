@@ -49,6 +49,9 @@ PLATEAU_SLACK = 1e-12
 
 # x -> (value, gradient), or (x, A x) -> (value, u) with gradient A u
 Objective = Callable[..., tuple[float, np.ndarray]]
+# a lower bound of projected Newton: one for every coordinate, or one
+# per coordinate with -inf for a free one
+Bound = float | np.ndarray
 
 
 @dataclass
@@ -250,12 +253,12 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
                        iterations=iterations, status=status)
 
 
-def _held(x: np.ndarray, g: np.ndarray, lower: float) -> np.ndarray:
+def _held(x: np.ndarray, g: np.ndarray, lower: Bound) -> np.ndarray:
     """The coordinates at the bound whose gradient pushes them below it."""
     return (x <= lower) & (g > 0.0)
 
 
-def _projected_norm(x: np.ndarray, g: np.ndarray, lower: float) -> float:
+def _projected_norm(x: np.ndarray, g: np.ndarray, lower: Bound) -> float:
     """max |g_j| over the coordinates not held at the bound: the
     first-order optimality measure of min f subject to x >= lower."""
     return float(np.max(np.abs(g[~_held(x, g, lower)]), initial=0.0))
@@ -291,7 +294,7 @@ def _newton_direction(h: np.ndarray, g: np.ndarray, lo: np.ndarray,
 
 
 def _arc_search(obj: Objective, x: np.ndarray, f: float, g: np.ndarray,
-                p: np.ndarray, lower: float, gnorm: float):
+                p: np.ndarray, lower: Bound, gnorm: float):
     """Armijo backtracking from unit step along the projection arc
     x(t) = max(x + t p, lower): a trial passes when
     f(x(t)) <= f + ARMIJO_C g'(x(t) - x).
@@ -322,25 +325,32 @@ def _arc_search(obj: Objective, x: np.ndarray, f: float, g: np.ndarray,
     return None
 
 
-def _projected_newton(obj: Objective, hess: Callable, x0, lower: float,
+def _projected_newton(obj: Objective, hess: Callable, x0, lower: Bound,
                       max_iter: int = 100,
                       grad_tol: float = 1e-8) -> OptimResult:
     """Minimize obj over x >= lower by projected Newton (Bertsekas,
     SIAM J. Control Optim. 20, 1982).
 
     obj maps x to (value, gradient), hess maps x to the Hessian matrix,
-    and lower bounds every coordinate.  The coordinates at the bound
-    whose gradient is positive are held there; the others take the
-    Newton step of their block of the Hessian, followed along the
-    bounds it meets (_newton_direction), and the step is searched along
-    the projection arc (_arc_search).  When that search fails, or the
-    block is singular, one retry moves every coordinate by its gradient
-    scaled by the Hessian diagonal, projected onto the bound.
+    and lower is one bound for every coordinate or an array of
+    per-coordinate bounds, -inf for a free coordinate.  The coordinates
+    at the bound whose gradient is positive are held there; the others
+    take the Newton step of their block of the Hessian, followed along
+    the bounds it meets (_newton_direction), and the step is searched
+    along the projection arc (_arc_search).  When that search fails, or
+    the block is singular, one retry moves every coordinate by its
+    gradient scaled by the Hessian diagonal, projected onto the bound.
 
     Stops when the projected gradient norm (_projected_norm) drops below
     grad_tol ("converged"), after max_iter steps ("max_iter"), or when
-    the retry finds no decrease either ("line_search_failed").
-    ValueError unless max_iter >= 0 and grad_tol >= 0.
+    the retry finds no decrease either.  In that last case the fit has
+    reached the value's resolution, and ends "converged", when the
+    Newton step's predicted decrease -g'(P(x + p) - x), for P the
+    projection onto the bounds, is at most PLATEAU_SLACK max(1, |f|),
+    the noise _arc_search allows: no step can then lower f measurably.
+    Otherwise, or when the Newton block is singular, it ends
+    "line_search_failed".  ValueError unless max_iter >= 0 and
+    grad_tol >= 0.
     """
     _check_stopping(max_iter, grad_tol)
     x = np.maximum(np.array(x0, dtype=float), lower)
@@ -362,13 +372,16 @@ def _projected_newton(obj: Objective, hess: Callable, x0, lower: float,
         try:
             p = _newton_direction(h, g, lower - x, _held(x, g, lower))
         except np.linalg.LinAlgError:
-            trial = None
+            p = trial = None
         else:
             trial = _arc_search(obj, x, f, g, p, lower, gnorm)
         if trial is None:
             trial = _arc_search(obj, x, f, g, -g / np.diag(h), lower, gnorm)
         if trial is None:
-            status = "line_search_failed"
+            resolved = p is not None and (
+                -float(g @ (np.maximum(x + p, lower) - x))
+                <= PLATEAU_SLACK * max(1.0, abs(f)))
+            status = "converged" if resolved else "line_search_failed"
             break
         x, f, g = trial
         iterations += 1

@@ -475,7 +475,7 @@ def test_population_fit_matches_least_squares_oracle():
     # for the quadratic generator the divergence is L2(Q), so the best
     # t1 x^2 + t2 solves a 2x2 moment system computable in closed form;
     # the pair is chosen so the projected intercept is positive, keeping
-    # the softplus-constrained optimum interior where the oracle applies
+    # the optimum over t2 >= 0 interior where the oracle applies
     spec = PiecewisePairSpec(lo=-1.0, hi=1.0, breakpoints=(-0.5, 0.5),
                              p_levels=(2 / 3, 1 / 3, 2 / 3),
                              q_levels=(1 / 3, 2 / 3, 1 / 3))

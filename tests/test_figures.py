@@ -3,18 +3,53 @@ error integrals they report."""
 import numpy as np
 import pytest
 
-from ratioloss import figure1, figure2, figure3, figures
+from ratioloss import (builtin_generator, default_pair, figure1, figure2,
+                       figure3, figures)
 from ratioloss.figures import FIGURE1_FAMILIES
+from ratioloss.generators import parse_family
 from ratioloss.synth import gaussian_pair
+
+
+def _assert_kkt(name, pf, quad_nodes):
+    """The fit is converged and meets the optimality conditions of
+    min over t2 >= 0: t2 >= 0, and the divergence's t2 slope, summed
+    here independently of the fit, is >= 0 where t2 = 0."""
+    gen = builtin_generator(*parse_family(name))
+    t1, t2 = pf.theta
+    assert pf.status == "converged"
+    assert t2 >= 0.0
+    if t2 == 0.0:
+        slope = 0.0
+        for xs, w, p_level, q_level in default_pair().pieces(quad_nodes):
+            bh = t1 * xs ** 2
+            dd = w * gen.phi2(bh) * (bh - p_level / q_level)
+            slope += q_level * float(np.sum(dd[bh > gen.domain_eps]))
+        assert slope >= 0.0
 
 
 def test_figure1_reduced():
     res = figure1(quad_nodes=201, max_iter=150)
     assert set(res["fits"]) == set(FIGURE1_FAMILIES)
     for name in FIGURE1_FAMILIES:
-        pf = res["fits"][name]
-        assert pf.theta[1] > 0.0  # intercept kept positive by construction
+        _assert_kkt(name, res["fits"][name], 201)
         assert res["sup_errors"][name] > 0.0
+
+
+# the divergences these fits reached under a softplus intercept and BFGS
+F_SOFTPLUS = {"lr": 0.12160077399726046, "kulsif": 1.509463093188219,
+              "poly1": 7.402663364407468, "poly6": 137525.75859317818,
+              "ew": 23427343.426859148}
+
+
+def test_population_fits_converge_at_their_defaults():
+    # fig1's five fits and fig3's two (same defaults, small regression)
+    fits = list(figure1()["fits"].items()) + list(figure3(
+        n_src=20, n_tgt=20, l2_nodes=101)["population_fits"].items())
+    assert len(fits) == 7
+    for name, pf in fits:
+        _assert_kkt(name, pf, 2001)
+        f_old = F_SOFTPLUS[name]
+        assert pf.divergence <= f_old + 1e-12 * max(1.0, abs(f_old)), name
 
 
 def test_figure2_reduced():

@@ -493,6 +493,38 @@ def test_projected_newton_without_a_bound_is_one_newton_step():
     assert np.allclose(res.x_star, np.linalg.solve(a, b), atol=1e-12)
 
 
+def test_projected_newton_takes_a_bound_per_coordinate():
+    # the unconstrained minimizer is (-2, -1); bounding only the second
+    # coordinate at 0 holds it there, and the first, free, goes negative
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = a @ np.array([-2.0, -1.0])
+    obj = spd_objective(a, b)
+    res = _projected_newton(obj, lambda x: a, np.ones(2),
+                            np.array([-np.inf, 0.0]), grad_tol=1e-12)
+    assert res.status == "converged"
+    assert res.x_star[1] == 0.0
+    assert obj(res.x_star)[1][1] > 0.0
+    assert res.x_star[0] < 0.0
+    assert res.x_star[0] == pytest.approx(b[0] / a[0, 0], abs=1e-12)
+
+
+def test_projected_newton_at_the_value_resolution_is_converged():
+    # the gradient floor of 1e6 sum (x - a_i)^2 near its minimizer is
+    # about 2e-7, above grad_tol, and no step lowers the 7e8 value
+    # measurably: the fit has reached the value's resolution
+    pts = np.random.default_rng(0).uniform(0.0, 3.0, 1000)
+
+    def obj(x):
+        r = x[0] - pts
+        return 1e6 * float(r @ r), np.array([2e6 * float(np.sum(r))])
+
+    res = _projected_newton(obj, lambda x: np.array([[2e6 * pts.size]]),
+                            np.zeros(1), -np.inf)
+    assert res.status == "converged"
+    assert res.grad_norm > 1e-8
+    assert abs(res.x_star[0] - np.mean(pts)) <= np.spacing(np.mean(pts))
+
+
 def test_projected_newton_shares_the_stopping_checks():
     obj = spd_objective(np.eye(2), np.ones(2))
     for max_iter, grad_tol in ((-1, 1e-8), (10, np.nan)):
