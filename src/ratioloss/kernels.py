@@ -1,6 +1,7 @@
 """Positive-definite kernels and Gram matrices."""
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -13,6 +14,8 @@ MEDIAN = "median"
 # squared distances are formed this many rows at a time, so each block's
 # temporaries stay in cache and no second n x m array exists
 DIST_ROWS = 64
+# a work array of at least this many bytes gets a memory map of its own
+MAPPED_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,35 @@ def as_points(x) -> np.ndarray:
     return x
 
 
+def _empty(shape) -> np.ndarray:
+    """An uninitialized float array.
+
+    Where mmap has MAP_PRIVATE, one of MAPPED_BYTES or more is a private
+    anonymous memory map of its own, unmapped when the last view of it
+    is dropped.  Its pages then go back to the system at once.  From the
+    malloc heap they might not: a small block allocated above a freed
+    Gram keeps it resident, and how often that happens depends on the
+    heap's history, so a process's peak memory would too.
+    """
+    size = int(np.prod(shape)) * np.dtype(float).itemsize
+    if size < MAPPED_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(shape)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # what numpy asks for its own large arrays
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y.T in an array from _empty."""
+    return np.matmul(x, y.T, out=_empty((len(x), len(y))))
+
+
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Clipped squared distances |x_i|^2 + |y_j|^2 - 2 x_i'y_j, formed
     in the buffer of x @ y.T DIST_ROWS rows at a time."""
-    sq = x @ y.T
+    sq = _product(x, y)
     x2 = np.sum(x ** 2, axis=1)
     y2 = np.sum(y ** 2, axis=1)
     for i in range(0, len(sq), DIST_ROWS):
@@ -101,7 +129,7 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     if spec.kind == "gaussian":
         return _gaussian(_sq_dists(x, y), spec.sigma)
     # in place, so the product is the only n x m array
-    k = x @ y.T
+    k = _product(x, y)
     k += spec.offset
     return np.power(k, spec.degree, out=k)
 
@@ -119,7 +147,7 @@ def _median_sq_dist(sq: np.ndarray) -> float:
     n = len(sq)
     if n < 2:
         raise ValueError("need at least two points")
-    pairs = np.empty(n * (n - 1) // 2)
+    pairs = _empty(n * (n - 1) // 2)
     start = 0
     for j, row in enumerate(sq):
         pairs[start:start + n - j - 1] = row[j + 1:]

@@ -1,4 +1,5 @@
 """Kernel specs, Gram matrices, and the median bandwidth heuristic."""
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratioloss import (MEDIAN, KernelSpec, as_points, gram, median_gram,
-                       median_heuristic)
+from ratioloss import (MEDIAN, KernelSpec, as_points, gram, kernels,
+                       median_gram, median_heuristic)
 
 
 def test_kernel_spec_validation():
@@ -154,23 +155,68 @@ def test_polynomial_gram_matches_dense_formula_bit_for_bit(degree, d):
         assert np.array_equal(gram(spec, x, y), (offset + x @ y.T) ** degree)
 
 
-def _peak_bytes(f):
+def _is_mapped(a: np.ndarray) -> bool:
+    """Whether a's memory is a memory map of its own."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+def _peak_bytes(f, monkeypatch):
+    """Peak bytes of f: tracemalloc's peak plus every byte kernels maps
+    while f runs.  tracemalloc does not see the maps, so each counts as
+    live at the peak."""
+    mapped = []
+    empty = kernels._empty
+
+    def counted(shape):
+        a = empty(shape)
+        if _is_mapped(a):
+            mapped.append(a.nbytes)
+        return a
+
+    monkeypatch.setattr(kernels, "_empty", counted)
     tracemalloc.start()
     try:
         f()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] + sum(mapped)
     finally:
         tracemalloc.stop()
 
 
-def test_large_inputs_build_one_square_array():
+def test_large_inputs_build_one_square_array(monkeypatch):
     # the dense formulas peak at about three n x n arrays; row blocks keep
     # gram to its output, and median_heuristic and median_gram to one
     # product plus the n(n-1)/2 pair buffer
     n = 2000
     x = np.random.default_rng(0).standard_normal((n, 1))
     square = n * n * 8
-    assert _peak_bytes(lambda: median_heuristic(x)) < 2.0 * square
-    assert _peak_bytes(lambda: median_gram(x)) < 2.0 * square
+    assert _peak_bytes(lambda: median_heuristic(x), monkeypatch) < 2.0 * square
+    assert _peak_bytes(lambda: median_gram(x), monkeypatch) < 2.0 * square
     spec = KernelSpec(kind="gaussian", sigma=0.5)
-    assert _peak_bytes(lambda: gram(spec, x, x)) < 1.25 * square
+    assert _peak_bytes(lambda: gram(spec, x, x), monkeypatch) < 1.25 * square
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
+                    reason="arrays are mapped only where mmap has MAP_PRIVATE")
+def test_large_grams_are_mapped_and_round_as_heap_arrays(monkeypatch):
+    # a Gram of MAPPED_BYTES or more lives in a memory map of its own, so
+    # dropping it returns its pages; the map changes no bit
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((1000, 2))
+    y = rng.standard_normal((600, 2))
+    assert x.shape[0] * y.shape[0] * 8 >= kernels.MAPPED_BYTES
+    specs = [KernelSpec(kind="gaussian", sigma=0.7),
+             KernelSpec(kind="polynomial", degree=3, offset=0.5)]
+    mapped = [gram(spec, x, y) for spec in specs] + list(median_gram(x)[1:])
+    med = median_heuristic(x)
+    assert all(_is_mapped(k) for k in mapped)
+    assert not _is_mapped(gram(specs[0], x[:10], y))
+
+    monkeypatch.setattr(kernels, "MAPPED_BYTES", np.inf)
+    heap = [gram(spec, x, y) for spec in specs] + list(median_gram(x)[1:])
+    assert not any(_is_mapped(k) for k in heap)
+    assert median_heuristic(x) == med
+    for k_mapped, k_heap in zip(mapped, heap):
+        assert np.array_equal(k_mapped, k_heap)
+    assert np.array_equal(mapped[0], dense_gaussian_gram(0.7, x, y))
