@@ -14,9 +14,9 @@ import numpy as np
 from .generators import (BregmanGenerator, DiscretePair, builtin_generator,
                          diamond_transform, divergence_discrete, parse_family,
                          weight_representation)
-from .losses import (CompositeLoss, bayes_risk, canonical_ratio_map,
-                     conditional_risk, convexity_margin,
-                     excess_risk_identity_check, family_loss, shuford_weight)
+from .losses import (CompositeLoss, bayes_risk, conditional_risk,
+                     convexity_margin, excess_risk_identity_check,
+                     family_loss, shuford_weight)
 from .optim import bfgs
 from .synth import Rng
 
@@ -83,15 +83,15 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
 
 
 def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict:
-    """Both convexity slacks are nonnegative for every canonical family,
-    and numerical second derivatives of the partial losses agree."""
+    """Both convexity slacks are nonnegative for every family's own
+    (generator, ratio map) pairing, and numerical second derivatives of
+    the partial losses agree."""
     x = np.geomspace(1e-6, 50.0, 400)
     slack = []  # per point, the lower of the two slacks
     fd = []  # numerical second derivatives
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
-        gen = loss.generator
-        margins = convexity_margin(gen, canonical_ratio_map(gen), x)
+        margins = convexity_margin(loss.generator, loss.ratio_map, x)
         slack.extend(np.minimum(*margins))
         lo, hi = _BETA_RANGE.get(name, _DEFAULT_BETA_RANGE)
         ys = loss.ratio_map.g_inv(np.linspace(lo, hi, 60))

@@ -146,34 +146,32 @@ def _solver(loss: CompositeLoss, alpha: float, n_q: int) -> str:
             else "bfgs")
 
 
-def _dual_risk(loss: CompositeLoss, g_qq: np.ndarray, b: np.ndarray,
+def _dual_risk(gen: BregmanGenerator, g_qq: np.ndarray, b: np.ndarray,
                rho: float):
-    """(obj, hess) of the Q-block dual of a canonical-link fit, divided
-    by rho = 2 alpha N so that its gradient is in score units.
+    """(obj, hess) of the Q-block dual of a canonical-link fit with
+    generator gen, divided by rho = 2 alpha N so that its gradient is in
+    score units.
 
-    With ell_pos(y) = c - y and ell_neg' = g, the fit's coefficients
-    are c_P = 1/rho and c_Q = -beta/rho, where beta minimizes
+    With ell_pos(y) = c - y and ell_neg' = g = (phi')^-1, the conjugate
+    of ell_neg is phi - c1, and the fit's coefficients are c_P = 1/rho
+    and c_Q = -beta/rho, where beta minimizes
 
-        sum_j ell*(beta_j) + (beta' G_QQ beta / 2 - b' beta) / rho
+        sum_j phi(beta_j) + (beta' G_QQ beta / 2 - b' beta) / rho
 
-    over beta >= g(-inf), for b = G_QP 1 and the conjugate
-    ell*(beta) = beta g^-1(beta) - ell_neg(g^-1(beta)).  Its gradient is
-    g^-1(beta) - s_Q, where s_Q = (b - G_QQ beta) / rho are the Q scores
-    of those coefficients, and its Hessian is diag(g^-1'(beta)) +
-    G_QQ / rho.
+    over beta >= g(-inf), for b = G_QP 1: the dual up to the constant
+    m c1.  Its gradient is phi'(beta) - s_Q, where s_Q = (b - G_QQ
+    beta) / rho are the Q scores of those coefficients, and its Hessian
+    is diag(phi''(beta)) + G_QQ / rho.
     """
-    rmap, ell_neg = loss.ratio_map, loss.ell_neg
-
     def obj(beta):
-        y = rmap.g_inv(beta)
         gb = g_qq @ beta
-        value = (float(np.sum(beta * y - ell_neg(y)))
+        value = (float(np.sum(gen.phi(beta)))
                  + float(beta @ (0.5 * gb - b)) / rho)
-        return value, y - (b - gb) / rho
+        return value, gen.phi1(beta) - (b - gb) / rho
 
     def hess(beta):
         h = g_qq / rho
-        h[np.diag_indices_from(h)] += rmap.g_inv1(beta)
+        h[np.diag_indices_from(h)] += gen.phi2(beta)
         return h
 
     return obj, hess
@@ -209,7 +207,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     solver = _solver(loss, alpha, pos.size - n_p)
     if solver == "newton":
         rho = 2.0 * alpha * pos.size
-        obj, hess = _dual_risk(loss, g_matrix[n_p:, n_p:],
+        obj, hess = _dual_risk(loss.generator, g_matrix[n_p:, n_p:],
                                np.sum(g_matrix[n_p:, :n_p], axis=1), rho)
         res = _projected_newton(obj, hess, np.ones(pos.size - n_p),
                                 float(loss.ratio_map.g(-np.inf)),
@@ -506,23 +504,19 @@ class PopulationFit:
 def population_fit_parametric(gen: BregmanGenerator,
                               spec: PiecewisePairSpec,
                               quad_nodes: int = 2001,
-                              max_iter: int = 300,
-                              grad_tol: float = 1e-10,
-                              theta0: tuple[float, float] = (1.0, 1.0)) -> PopulationFit:
+                              max_iter: int = 300) -> PopulationFit:
     """Infinite-sample fit of beta_hat(x) = t1 x^2 + t2 on a piecewise pair.
 
     Minimizes the Q-averaged divergence to the exact ratio over t1 and
-    t2 >= 0 by projected Newton, with max_iter capping its steps.  The
+    t2 >= 0 by projected Newton from (1, 1) to a projected gradient
+    norm of 1e-10, with max_iter capping its steps.  The
     divergence is a Simpson sum over each piece's nodes, so the
     integrand stays smooth; ratio evaluations are floored at the
     generator's domain floor with a flat (zero-gradient) extension
     below it.  The Hessian is the divergence's own where it is positive
     definite, else its Gauss-Newton part (phi'' only), which is
-    positive semidefinite since phi is convex.  ValueError unless the
-    initial intercept is >= 0.
+    positive semidefinite since phi is convex.
     """
-    if not float(theta0[1]) >= 0.0:
-        raise ValueError("initial intercept must be nonnegative")
     eps = gen.domain_eps
     pieces = list(spec.pieces(quad_nodes))
     # one flat node array: x^2, Q mass q w and exact ratio per node
@@ -555,9 +549,8 @@ def population_fit_parametric(gen: BregmanGenerator,
             return h
         return moments(gauss_newton)
 
-    res = _projected_newton(obj, hess, np.array(theta0, dtype=float),
-                            np.array([-np.inf, 0.0]), max_iter=max_iter,
-                            grad_tol=grad_tol)
+    res = _projected_newton(obj, hess, np.ones(2), np.array([-np.inf, 0.0]),
+                            max_iter=max_iter, grad_tol=1e-10)
     return PopulationFit(theta=res.x_star, divergence=res.f_star,
                          status=res.status, iterations=res.iterations)
 

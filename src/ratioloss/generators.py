@@ -42,7 +42,6 @@ class BregmanGenerator:
     phi3: ScalarMap
     domain_eps: float = DOMAIN_EPS
     inverse_phi1: Optional[ScalarMap] = None
-    k: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,6 @@ def builtin_generator(name: str, k: Optional[float] = None) -> BregmanGenerator:
                 phi2=_raw(np.ones_like),
                 phi3=_raw(np.zeros_like),
                 inverse_phi1=_raw(lambda y: y),
-                k=0.0,
             )
         def inv(y, k=k):
             y = np.maximum(np.asarray(y, dtype=float), 1e-300)
@@ -166,7 +164,6 @@ def builtin_generator(name: str, k: Optional[float] = None) -> BregmanGenerator:
             phi2=_clipped(lambda x: x ** k, eps),
             phi3=_clipped(lambda x: k * x ** (k - 1.0), eps),
             inverse_phi1=inv,
-            k=k,
         )
     if name == "ew":
         # exp(2x)/4 is convex on all of R, so no domain clip: the loss

@@ -129,7 +129,6 @@ class CompositeLoss:
     ell_neg: ScalarMap
     ell_pos1: ScalarMap
     ell_neg1: ScalarMap
-    inv_link: ScalarMap
     ratio_map: RatioMap
     generator: BregmanGenerator
     score_bounds: tuple = (-np.inf, np.inf)
@@ -139,43 +138,45 @@ class CompositeLoss:
         eta = np.asarray(eta, dtype=float)
         return self.ratio_map.g_inv(eta / (1.0 - eta))
 
+    def inv_link(self, y):
+        """eta_hat(y) = g(y) / (1 + g(y)), the inverse of link."""
+        b = self.ratio_map.g(y)
+        return b / (1.0 + b)
+
 
 def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
                    c1: float = 0.0, c2: float = 0.0,
                    score_bounds: tuple = (-np.inf, np.inf)) -> CompositeLoss:
     """Build the composite loss induced by (gen, rmap).
 
-    For the canonical link the positive partial loss reduces exactly to
-    the linear form c1 + c2 - y, which is what gets implemented (it is
-    also the analytic extension past the link's domain floor).
+    For the canonical link g = (phi')^{-1} (rmap.is_canonical_for(gen))
+    two identities are stated instead of composed: ell_pos(y) = c1 + c2 -
+    y, also the analytic extension past the link's domain floor, and
+    ell_neg' = g, since b phi''(b) g'(y) = b for b = g(y).
     ValueError unless c1 and c2 are finite.
     """
     if not (np.isfinite(c1) and np.isfinite(c2)):
         raise ValueError(f"c1 and c2 must be finite, got {c1!r} and {c2!r}")
     g, phi, phi1, phi2 = rmap.g, gen.phi, gen.phi1, gen.phi2
 
-    if rmap.is_canonical_for(gen):
-        ell_pos = lambda y: (c1 + c2) - np.asarray(y, dtype=float)
-        ell_pos1 = lambda y: -np.ones_like(np.asarray(y, dtype=float))
-    else:
-        ell_pos = lambda y: (c1 + c2) - phi1(g(y))
-        ell_pos1 = lambda y: -phi2(g(y)) * rmap.g1(y)
-
     def ell_neg(y):
         b = g(y)
         return c1 + b * phi1(b) - phi(b)
 
-    def ell_neg1(y):
-        b = g(y)
-        return b * phi2(b) * rmap.g1(y)
+    if rmap.is_canonical_for(gen):
+        ell_pos = lambda y: (c1 + c2) - np.asarray(y, dtype=float)
+        ell_pos1 = lambda y: -np.ones_like(np.asarray(y, dtype=float))
+        ell_neg1 = g
+    else:
+        ell_pos = lambda y: (c1 + c2) - phi1(g(y))
+        ell_pos1 = lambda y: -phi2(g(y)) * rmap.g1(y)
 
-    def inv_link(y):
-        b = g(y)
-        return b / (1.0 + b)
+        def ell_neg1(y):
+            b = g(y)
+            return b * phi2(b) * rmap.g1(y)
 
     return CompositeLoss(ell_pos=ell_pos, ell_neg=ell_neg,
                          ell_pos1=ell_pos1, ell_neg1=ell_neg1,
-                         inv_link=inv_link,
                          ratio_map=rmap, generator=gen,
                          score_bounds=(float(score_bounds[0]),
                                        float(score_bounds[1])))
@@ -209,8 +210,9 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
         eps = gen.domain_eps
 
         # b phi'(b) - phi(b) = b exactly, and -log extends by its tangent
-        # at the domain floor: both partial losses stay C^1 convex with
-        # value and slope consistent wherever scores dip below the floor.
+        # at the domain floor, whose slope the composed ell_pos' =
+        # -phi''(y) already takes there: both partial losses stay C^1
+        # convex wherever scores dip below the floor.
         def ell_pos(y):
             y = np.asarray(y, dtype=float)
             yc = np.maximum(y, eps)
@@ -220,7 +222,6 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
         return replace(
             loss,
             ell_pos=ell_pos,
-            ell_pos1=lambda y: -1.0 / np.maximum(np.asarray(y, dtype=float), eps),
             ell_neg=lambda y: c1 + np.asarray(y, dtype=float),
             ell_neg1=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     if name == "boost":
@@ -238,19 +239,16 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
         tangent = 0.5 * np.log(2.0 * eps)
 
         # Legendre form (y/2)(log 2y - 1) on the domain, its tangent at
-        # the floor below: the composed slope is already the tangent
-        # slope there, so only the value needs the linear continuation.
+        # the floor below.  The canonical ell_neg' = g is already that
+        # tangent's slope below the floor, since g clips there, so only
+        # the value needs the linear continuation.
         def ell_neg(y):
             y = np.asarray(y, dtype=float)
             yc = np.maximum(y, eps)
             core = 0.5 * yc * (np.log(2.0 * yc) - 1.0)
             return c1 + core + np.where(y >= eps, 0.0, tangent * (y - eps))
 
-        return replace(
-            loss,
-            ell_neg=ell_neg,
-            ell_neg1=lambda y: 0.5 * np.log(
-                2.0 * np.maximum(np.asarray(y, dtype=float), eps)))
+        return replace(loss, ell_neg=ell_neg)
     raise ValueError(f"unknown family {name!r}")
 
 
@@ -290,6 +288,13 @@ def bayes_risk(loss: CompositeLoss, eta: float) -> float:
     return conditional_risk(loss, eta, loss.link(eta))
 
 
+def _link_and_slope(loss: CompositeLoss, eta):
+    """(Psi(eta), Psi'(eta)): Psi' = g_inv'(x) / (1 - eta)^2 at
+    x = eta / (1 - eta)."""
+    x = eta / (1.0 - eta)
+    return loss.link(eta), loss.ratio_map.g_inv1(x) / (1.0 - eta) ** 2
+
+
 def shuford_weight(loss: CompositeLoss, eta: float) -> float:
     """The properness weight w(eta) of the underlying proper loss.
 
@@ -300,9 +305,7 @@ def shuford_weight(loss: CompositeLoss, eta: float) -> float:
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie strictly inside (0, 1)")
-    y = loss.link(eta)
-    x = eta / (1.0 - eta)
-    psi1 = loss.ratio_map.g_inv1(x) / (1.0 - eta) ** 2
+    y, psi1 = _link_and_slope(loss, eta)
     r_pos = float(loss.ell_pos1(y)) * psi1 / (eta - 1.0)
     r_neg = float(loss.ell_neg1(y)) * psi1 / eta
     denom = max(abs(r_pos), abs(r_neg), 1e-300)
@@ -367,13 +370,11 @@ def reid_convexity_margins(loss: CompositeLoss, etahat,
         raise ValueError("etahat must lie strictly inside (0, 1)")
 
     def w(eta):
-        y = loss.link(eta)
-        x = eta / (1.0 - eta)
-        psi1 = loss.ratio_map.g_inv1(x) / (1.0 - eta) ** 2
+        y, psi1 = _link_and_slope(loss, eta)
         return loss.ell_neg1(y) * psi1 / eta
 
     x = etahat / (1.0 - etahat)
-    psi1 = loss.ratio_map.g_inv1(x) / (1.0 - etahat) ** 2
+    psi1 = _link_and_slope(loss, etahat)[1]
     psi2 = (loss.ratio_map.g_inv2(x) / (1.0 - etahat) ** 4
             + 2.0 * loss.ratio_map.g_inv1(x) / (1.0 - etahat) ** 3)
     w0 = w(etahat)

@@ -272,3 +272,58 @@ def test_a13_every_family_fits(family):
     lo, hi = loss.score_bounds
     assert float(np.mean((scores <= lo) | (scores >= hi))) <= CLAMP_BUDGET
     assert np.ptp(predict_ratio(model, s.pooled)) > 0.0
+
+
+# (n_j, m_j) per atom: equal totals, then the last atom's m_j raised
+ATOM_COUNTS = {"equal": [(3, 6), (5, 6), (8, 4), (2, 9), (12, 5)],
+               "unequal": [(3, 6), (5, 6), (8, 4), (2, 9), (12, 15)]}
+
+
+def _atom_roots(loss, n_j, m_j, alpha):
+    """Per-atom root of n_j ell_pos'(s) + m_j ell_neg'(s) + 2 alpha N s,
+    increasing in s, by bisection to adjacent floats."""
+    rate = 2.0 * alpha * (n_j.sum() + m_j.sum())
+
+    def slope(s):
+        return n_j * loss.ell_pos1(s) + m_j * loss.ell_neg1(s) + rate * s
+
+    lo, hi = -np.ones(n_j.size), np.ones(n_j.size)
+    while np.any(slope(lo) > 0.0):
+        lo *= 2.0
+    while np.any(slope(hi) < 0.0):
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        below = slope(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+
+
+@pytest.mark.parametrize("totals", sorted(ATOM_COUNTS))
+def test_a14_fits_on_atoms_match_the_per_atom_roots(totals):
+    # P and Q points on five integer atoms with sigma 0.01: G is exactly
+    # block-diagonal with blocks of ones, every point on atom j shares
+    # one score s_j and c'Gc = sum_j s_j^2, so the fit's optimality
+    # condition splits into one monotone equation per atom.  Each fit
+    # stops at |gradient|_inf < 1e-12, which bounds the score error by
+    # about 1e-12 / (2 alpha) = 5e-10 at alpha 1e-3; the worst observed
+    # error is 7.9e-12 of the largest score (lr, alpha 1e-3, BFGS) and
+    # 1.1e-13 for the Newton fits, held here to 1e-10
+    n_j, m_j = np.array(ATOM_COUNTS[totals], dtype=float).T
+    atoms = np.arange(5.0)
+    s = SampleSet(xs_p=np.repeat(atoms, n_j.astype(int)),
+                  xs_q=np.repeat(atoms, m_j.astype(int)))
+    kernel = KernelSpec(kind="gaussian", sigma=0.01)
+    assert set(np.unique(gram(kernel, s.pooled, s.pooled))) == {0.0, 1.0}
+    for family, k in (("kulsif", None), ("lr", None), ("klest", None),
+                      ("boost", None), ("poly", 1.0), ("poly", 6.0),
+                      ("ew", None)):
+        loss = family_loss(family, k)
+        for alpha in (1.0, 0.1, 1e-3):
+            model = fit(s, loss, kernel, alpha, max_iter=2000, grad_tol=1e-12,
+                        clamp_budget=None)
+            assert model.status == "converged", (family, k, alpha)
+            want = _atom_roots(loss, n_j, m_j, alpha)
+            err = np.max(np.abs(model.scores(atoms) - want))
+            assert err <= 1e-10 * np.max(np.abs(want)), (family, k, alpha)

@@ -5,15 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ratioloss import (CHECK_GROUPS, checks, family_loss, properness_residuals,
-                       run_all)
+from ratioloss import (CHECK_GROUPS, builtin_generator, checks,
+                       construct_loss, exp_ratio_map, family_loss,
+                       properness_residuals, run_all)
 
 # regression guards: the observed residuals sit orders of magnitude
 # below the advertised tolerances, and seeds are fixed, so tightened
 # bounds catch silent numerical drift
 HEADROOM_BOUNDS = {
     "excess-risk": 1e-12,
-    "convexity": 1e-10,
+    # klest's lower slack is exactly 0 (ell_neg is linear) and rounds to
+    # -1.16e-10, one ulp of the 1/x = 1e6 it is formed from
+    "convexity": 2.5e-10,
     "weight-representation": 1e-9,
     "shuford-weight": 1e-12,
     "savage-regret": 5e-9,
@@ -110,5 +113,19 @@ def test_a_nan_second_difference_fails_convexity(monkeypatch):
     assert not g["passed"]
     assert np.isnan(g["max_residual"])
     assert np.isnan(g["detail"]["fd_violation"])
-    assert g["detail"]["slack_violation"] == 0.0
+    assert g["detail"]["slack_violation"] <= HEADROOM_BOUNDS["convexity"]
     assert g["cases"] == 8 * 400 + 8 * 2 * 60
+
+
+def test_convexity_certifies_each_familys_own_ratio_map(monkeypatch):
+    # kulsif through the exponential map: middle(x) = 1/x, so the upper
+    # slack -1/x fails, where kulsif's canonical map would pass
+    def kulsif_exp(name, k=None):
+        if name != "kulsif":
+            return family_loss(name, k)
+        return construct_loss(builtin_generator("kulsif"), exp_ratio_map())
+
+    monkeypatch.setattr(checks, "family_loss", kulsif_exp)
+    g = checks.check_convexity()
+    assert g["detail"]["slack_violation"] > 0.0
+    assert not g["passed"]

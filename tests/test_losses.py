@@ -194,8 +194,7 @@ def test_canonical_link_is_matched_on_the_exact_exponent():
 def test_canonical_link_is_matched_on_the_generator_not_its_name():
     # kulsif renamed to poly k = 0 has phi' = x - 1, not x: its link
     # sends y to y + 1, where poly k = 0's positive loss is -(y + 1)
-    impostor = dataclasses.replace(builtin_generator("kulsif"), name="poly",
-                                   k=0.0)
+    impostor = dataclasses.replace(builtin_generator("kulsif"), name="poly")
     loss = construct_loss(builtin_generator("poly", k=0.0),
                           canonical_ratio_map(impostor))
     y = np.linspace(0.5, 18.0, 9)
