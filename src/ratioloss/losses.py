@@ -289,10 +289,11 @@ def bayes_risk(loss: CompositeLoss, eta: float) -> float:
 
 
 def _link_and_slope(loss: CompositeLoss, eta):
-    """(Psi(eta), Psi'(eta)): Psi' = g_inv'(x) / (1 - eta)^2 at
-    x = eta / (1 - eta)."""
+    """(x, Psi(eta), Psi'(eta)) at the odds x = eta / (1 - eta):
+    Psi = g_inv(x) and Psi' = g_inv'(x) / (1 - eta)^2."""
     x = eta / (1.0 - eta)
-    return loss.link(eta), loss.ratio_map.g_inv1(x) / (1.0 - eta) ** 2
+    rmap = loss.ratio_map
+    return x, rmap.g_inv(x), rmap.g_inv1(x) / (1.0 - eta) ** 2
 
 
 def shuford_weight(loss: CompositeLoss, eta: float) -> float:
@@ -305,7 +306,7 @@ def shuford_weight(loss: CompositeLoss, eta: float) -> float:
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie strictly inside (0, 1)")
-    y, psi1 = _link_and_slope(loss, eta)
+    _, y, psi1 = _link_and_slope(loss, eta)
     r_pos = float(loss.ell_pos1(y)) * psi1 / (eta - 1.0)
     r_neg = float(loss.ell_neg1(y)) * psi1 / eta
     denom = max(abs(r_pos), abs(r_neg), 1e-300)
@@ -370,14 +371,13 @@ def reid_convexity_margins(loss: CompositeLoss, etahat,
         raise ValueError("etahat must lie strictly inside (0, 1)")
 
     def w(eta):
-        y, psi1 = _link_and_slope(loss, eta)
+        _, y, psi1 = _link_and_slope(loss, eta)
         return loss.ell_neg1(y) * psi1 / eta
 
-    x = etahat / (1.0 - etahat)
-    psi1 = _link_and_slope(loss, etahat)[1]
+    x, y, psi1 = _link_and_slope(loss, etahat)
     psi2 = (loss.ratio_map.g_inv2(x) / (1.0 - etahat) ** 4
             + 2.0 * loss.ratio_map.g_inv1(x) / (1.0 - etahat) ** 3)
-    w0 = w(etahat)
+    w0 = loss.ell_neg1(y) * psi1 / etahat
     w1 = (w(etahat + h) - w(etahat - h)) / (2.0 * h)
     middle = w1 / w0 - psi2 / psi1
     return middle + 1.0 / etahat, 1.0 / (1.0 - etahat) - middle

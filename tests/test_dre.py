@@ -146,6 +146,31 @@ def test_dual_newton_fit_reaches_the_minimum(family, k, alpha):
     assert np.all(dual_grad[held] >= -1e-8)
 
 
+def test_dual_newton_fit_with_ratios_below_the_generators_floor():
+    # canonical klest: g(-inf) = 0 lies below phi's clip at domain_eps,
+    # and Q points far from P take ratios there.  The fit still reaches
+    # the primal minimum and holds those ratios at the bound
+    gen = builtin_generator("klest")
+    loss = construct_loss(gen, canonical_ratio_map(gen))
+    s = SampleSet(xs_p=np.linspace(-0.5, 0.5, 20),
+                  xs_q=np.linspace(-1.0, 6.0, 24))
+    kernel = KernelSpec(kind="gaussian", sigma=0.3)
+    alpha = 1e-6
+    model = fit(s, loss, kernel, alpha, max_iter=300, clamp_budget=None)
+    assert model.solver == "newton"
+    assert model.status == "converged"
+    g = gram(kernel, s.pooled, s.pooled)
+    ref = bfgs(lambda c: empirical_risk(loss, g, s.labels, c, alpha),
+               np.zeros(44), max_iter=3000, grad_tol=1e-14)
+    assert model.train_risk <= ref.f_star + 1e-12 * max(1.0,
+                                                       abs(ref.f_star))
+    beta = -2.0 * alpha * 44 * model.coeffs[20:]
+    held = beta < gen.domain_eps
+    assert np.all(beta[held] == 0.0) and np.sum(held) >= 2
+    dual_grad = gen.phi1(beta) - g[20:] @ model.coeffs
+    assert np.all(dual_grad[held] >= 0.0)
+
+
 def test_dual_newton_fit_with_repeated_q_points_converges(monkeypatch):
     # repeated Q points repeat rows of the dual Hessian; once their
     # ratios reach the bound the Newton block is singular, and those
