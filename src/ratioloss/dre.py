@@ -1,10 +1,10 @@
 """Density ratio estimation by regularized kernel risk minimization.
 
-Samples from P get label +1 and samples from Q label -1; a kernel
+The n points of P and the m of Q are pooled, P first; a kernel
 expansion f(x) = sum_i c_i k(x, x_i) over the pooled points minimizes
 the penalized average classification risk
 
-    (1/N) sum_i ell(y_i, f(x_i)) + alpha c' G c,
+    (1/N) (sum_P ell_pos(f(x_i)) + sum_Q ell_neg(f(x_j))) + alpha c' G c,
 
 and the ratio estimate is beta_hat(x) = g(f(x)) through the loss's
 ratio map.  _solver picks projected Newton on the dual or BFGS for
@@ -62,11 +62,6 @@ class SampleSet:
     def pooled(self) -> np.ndarray:
         return np.vstack([self.xs_p, self.xs_q])
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.concatenate([np.ones(len(self.xs_p)),
-                               -np.ones(len(self.xs_q))])
-
 
 @dataclass
 class RatioModel:
@@ -89,53 +84,48 @@ class RatioModel:
         return self.status in ("max_iter", "line_search_failed")
 
 
-def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray,
-                   labels: np.ndarray, coeffs: np.ndarray,
-                   alpha: float) -> tuple[float, np.ndarray]:
-    """Penalized average risk and its gradient in the coefficients."""
-    value, u = _score_risk(loss, labels > 0, coeffs, gram_matrix @ coeffs,
-                           alpha)
+def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray, n_p: int,
+                   coeffs: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
+    """Penalized average risk and its gradient in the coefficients; the
+    first n_p points are P, the rest Q."""
+    value, u = _score_risk(loss, n_p, coeffs, gram_matrix @ coeffs, alpha)
     return value, gram_matrix @ u
 
 
-def _score_risk(loss: CompositeLoss, pos: np.ndarray, coeffs: np.ndarray,
+def _score_risk(loss: CompositeLoss, n_p: int, coeffs: np.ndarray,
                 scores: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     """Penalized risk at coefficients c with scores s = G c, and
     u = v/N + 2 alpha c for v the partial-loss derivatives, so that the
     gradient in c is G u."""
-    value = _risk(loss, pos, coeffs, scores, alpha)
-    v = np.empty_like(scores)
-    v[pos] = loss.ell_pos1(scores[pos])
-    v[~pos] = loss.ell_neg1(scores[~pos])
-    return value, v / pos.size + 2.0 * alpha * coeffs
+    value = _risk(loss, n_p, coeffs, scores, alpha)
+    v = np.concatenate([loss.ell_pos1(scores[:n_p]),
+                        loss.ell_neg1(scores[n_p:])])
+    return value, v / scores.size + 2.0 * alpha * coeffs
 
 
-def _risk(loss: CompositeLoss, pos: np.ndarray, coeffs: np.ndarray,
+def _risk(loss: CompositeLoss, n_p: int, coeffs: np.ndarray,
           scores: np.ndarray, alpha: float) -> float:
     """Penalized risk at coefficients c with scores s = G c."""
-    return _data_risk(loss, scores, pos) + alpha * float(coeffs @ scores)
+    return _data_risk(loss, scores, n_p) + alpha * float(coeffs @ scores)
 
 
-def _data_risk(loss: CompositeLoss, scores: np.ndarray,
-               pos: np.ndarray) -> float:
-    """Average partial loss of scores; pos marks the P points."""
-    return (float(np.sum(loss.ell_pos(scores[pos]))) +
-            float(np.sum(loss.ell_neg(scores[~pos])))) / pos.size
+def _data_risk(loss: CompositeLoss, scores: np.ndarray, n_p: int) -> float:
+    """Average partial loss of scores, the first n_p of them P points."""
+    return (float(np.sum(loss.ell_pos(scores[:n_p]))) +
+            float(np.sum(loss.ell_neg(scores[n_p:])))) / scores.size
 
 
 def _fit_setup(samples: SampleSet, kernel: KernelSpec, alpha: float):
-    """(centers, pos, kernel, G) for a fit at alpha: the pooled points,
-    the mask of the P points, the kernel with a median sigma resolved on
-    the pooled points, and its Gram on them.  A median sigma and its
-    Gram share one distance pass."""
+    """(centers, kernel, G) for a fit at alpha: the pooled points, P
+    first, the kernel with a median sigma resolved on them, and its Gram
+    on them.  A median sigma and its Gram share one distance pass."""
     if not 0.0 <= alpha < np.inf:
         raise ValueError("alpha must be finite and nonnegative")
     centers = samples.pooled
-    pos = samples.labels > 0
     if not kernel.median_sigma:
-        return centers, pos, kernel, gram(kernel, centers, centers)
+        return centers, kernel, gram(kernel, centers, centers)
     sigma, g_matrix = median_gram(centers)
-    return centers, pos, KernelSpec(kind="gaussian", sigma=sigma), g_matrix
+    return centers, KernelSpec(kind="gaussian", sigma=sigma), g_matrix
 
 
 def _solver(loss: CompositeLoss, alpha: float, n_q: int) -> str:
@@ -184,8 +174,9 @@ def _dual_risk(gen: BregmanGenerator, g_qq: np.ndarray, b: np.ndarray,
 
 
 def _clamped_fraction(loss: CompositeLoss, scores: np.ndarray) -> float:
-    lo, hi = loss.score_bounds
-    return float(np.mean((scores <= lo) | (scores >= hi)))
+    """Share of the scores whose ratio estimate predict_ratio caps at
+    RATIO_CAP."""
+    return float(np.mean(loss.ratio_map.g(scores) >= RATIO_CAP))
 
 
 def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
@@ -201,28 +192,29 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     train_risk is the penalized risk at the returned coefficients.
 
     A gaussian kernel with sigma MEDIAN gets the median heuristic over
-    the pooled points; the model holds the numeric sigma.  Fails loudly
-    when more than clamp_budget of the fitted training scores fall
-    outside the ratio map's usable range, which signals a diverged or
-    degenerate fit rather than a usable estimator.  ValueError unless
-    max_iter >= 0 and grad_tol >= 0, before any kernel work.
+    the pooled points, P first; the model holds the numeric sigma.
+    FitError when more than clamp_budget of the training estimates
+    g(f(x_i)) reach RATIO_CAP, where predict_ratio caps them, which
+    signals a diverged or degenerate fit rather than a usable estimator.
+    ValueError unless max_iter >= 0 and grad_tol >= 0, before any kernel
+    work.
     """
     _check_stopping(max_iter, grad_tol)
-    centers, pos, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
-    n_p = len(samples.xs_p)  # pooled points are P first, then Q
-    solver = _solver(loss, alpha, pos.size - n_p)
+    centers, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
+    n_p, n_q = len(samples.xs_p), len(samples.xs_q)
+    solver = _solver(loss, alpha, n_q)
     if solver == "newton":
-        rho = 2.0 * alpha * pos.size
+        rho = 2.0 * alpha * len(centers)
         obj, hess = _dual_risk(loss.generator, g_matrix[n_p:, n_p:],
                                np.sum(g_matrix[n_p:, :n_p], axis=1), rho)
-        res = _projected_newton(obj, hess, np.ones(pos.size - n_p),
+        res = _projected_newton(obj, hess, np.ones(n_q),
                                 float(loss.ratio_map.g(-np.inf)),
                                 max_iter=max_iter, grad_tol=grad_tol)
         coeffs = np.concatenate([np.full(n_p, 1.0 / rho), -res.x_star / rho])
     else:
         def obj(point):
             c, scores = point
-            return _score_risk(loss, pos, c, scores, alpha)
+            return _score_risk(loss, n_p, c, scores, alpha)
 
         # the risk is searched in score space: two Gram products per
         # iteration, none per rejected trial
@@ -233,7 +225,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     scores = g_matrix @ coeffs
     model = RatioModel(kernel=kernel, centers=centers, coeffs=coeffs,
                        loss=loss,
-                       train_risk=_risk(loss, pos, coeffs, scores, alpha),
+                       train_risk=_risk(loss, n_p, coeffs, scores, alpha),
                        status=res.status, iterations=res.iterations,
                        grad_norm=res.grad_norm, solver=solver)
     if clamp_budget is not None:
@@ -270,20 +262,19 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
     only backward-stable, not accurate to more than a few digits.
     A median sigma is resolved as in fit.
     """
-    centers, pos, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
-    n = pos.size
-    n_p = len(samples.xs_p)  # pooled points are P first, then Q
-    ridge = 2.0 * alpha * n if alpha > 0 else GRAM_JITTER
-    coeffs = np.empty(n)
+    centers, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
+    n_p, n_q = len(samples.xs_p), len(samples.xs_q)
+    ridge = 2.0 * alpha * len(centers) if alpha > 0 else GRAM_JITTER
+    coeffs = np.empty(len(centers))
     coeffs[:n_p] = 1.0 / ridge
     lhs = g_matrix[n_p:, n_p:].copy()
-    lhs[np.diag_indices(n - n_p)] += ridge
+    lhs[np.diag_indices(n_q)] += ridge
     try:
         coeffs[n_p:] = np.linalg.solve(lhs, -(g_matrix[n_p:, :n_p] @ coeffs[:n_p]))
     except np.linalg.LinAlgError as exc:
         raise FitError(f"kulsif linear system is singular: {exc}") from exc
     loss = family_loss("kulsif")
-    value = _risk(loss, pos, coeffs, g_matrix @ coeffs, alpha)
+    value = _risk(loss, n_p, coeffs, g_matrix @ coeffs, alpha)
     return RatioModel(kernel=kernel, centers=centers, coeffs=coeffs,
                       loss=loss, train_risk=value, status="closed_form",
                       solver="closed_form")
@@ -352,21 +343,22 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
     pooled = samples.pooled
     if kernel.median_sigma:
         kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(pooled))
-    labels = samples.labels
     n_p = len(samples.xs_p)
-    folds = _stratified_folds(n_p, len(labels) - n_p, n_folds, rng)
-    all_idx = np.arange(len(labels))
+    folds = _stratified_folds(n_p, len(samples.xs_q), n_folds, rng)
+    all_idx = np.arange(len(pooled))
 
     def fold_fit(i: int) -> tuple[float, bool]:
-        """Held-out risk of fold i % n_folds at alpha i // n_folds."""
+        """Held-out risk of fold i % n_folds at alpha i // n_folds; both
+        index sets are sorted, so their P points (index < n_p) come
+        first."""
         fold = folds[i % n_folds]
         train = np.setdiff1d(all_idx, fold)
-        tr_labels = labels[train]
-        tr = SampleSet(xs_p=pooled[train[tr_labels > 0]],
-                       xs_q=pooled[train[tr_labels < 0]])
+        tr = SampleSet(xs_p=pooled[train[train < n_p]],
+                       xs_q=pooled[train[train >= n_p]])
         model = fit(tr, loss, kernel, alphas[i // n_folds], max_iter=max_iter,
                     grad_tol=grad_tol, clamp_budget=None)
-        return (_data_risk(loss, model.scores(pooled[fold]), labels[fold] > 0),
+        return (_data_risk(loss, model.scores(pooled[fold]),
+                           int(np.count_nonzero(fold < n_p))),
                 model.unconverged)
 
     runs = _run_jobs(fold_fit, len(alphas) * n_folds)

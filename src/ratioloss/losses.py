@@ -117,13 +117,7 @@ def canonical_ratio_map(gen: BregmanGenerator) -> RatioMap:
 
 @dataclass(frozen=True)
 class CompositeLoss:
-    """Partial losses with derivatives, plus the link structure.
-
-    score_bounds delimits the scores on which the composition is a
-    faithful rendering of the divergence: outside, either the ratio map
-    saturates or the mapped ratio exceeds the cap.  Fit diagnostics count
-    training scores that land outside these bounds.
-    """
+    """Partial losses with derivatives, plus the link structure."""
 
     ell_pos: ScalarMap
     ell_neg: ScalarMap
@@ -131,7 +125,6 @@ class CompositeLoss:
     ell_neg1: ScalarMap
     ratio_map: RatioMap
     generator: BregmanGenerator
-    score_bounds: tuple = (-np.inf, np.inf)
 
     def link(self, eta):
         """Psi(eta) = g^{-1}(eta / (1 - eta)) on eta in (0, 1)."""
@@ -145,8 +138,7 @@ class CompositeLoss:
 
 
 def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
-                   c1: float = 0.0, c2: float = 0.0,
-                   score_bounds: tuple = (-np.inf, np.inf)) -> CompositeLoss:
+                   c1: float = 0.0, c2: float = 0.0) -> CompositeLoss:
     """Build the composite loss induced by (gen, rmap).
 
     For the canonical link g = (phi')^{-1} (rmap.is_canonical_for(gen))
@@ -177,9 +169,7 @@ def construct_loss(gen: BregmanGenerator, rmap: RatioMap,
 
     return CompositeLoss(ell_pos=ell_pos, ell_neg=ell_neg,
                          ell_pos1=ell_pos1, ell_neg1=ell_neg1,
-                         ratio_map=rmap, generator=gen,
-                         score_bounds=(float(score_bounds[0]),
-                                       float(score_bounds[1])))
+                         ratio_map=rmap, generator=gen)
 
 
 def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
@@ -188,10 +178,6 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
 
     kulsif and klest score directly in ratio units (identity map), lr and
     boost use exponential links, poly and ew use their canonical links.
-    Score bounds mark where each composition stops being faithful; they
-    are one-sided for the families whose losses extend smoothly through
-    zero scores (only a ratio-cap explosion is degenerate there) and
-    absent for ew, whose logarithmic map cannot explode at all.
     ValueError for a non-finite k, whatever the family; only poly reads
     k, and it also refuses None, which parse_family gives the others.
     """
@@ -199,14 +185,13 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
         raise ValueError(f"k must be finite, got {k!r}")
     if name == "kulsif":
         return construct_loss(builtin_generator("kulsif"), identity_ratio_map(),
-                              c1, c2, score_bounds=(-np.inf, RATIO_CAP))
+                              c1, c2)
     if name == "lr":
         return construct_loss(builtin_generator("lr"), exp_ratio_map(1.0),
-                              c1, c2, score_bounds=(-np.inf, np.log(RATIO_CAP)))
+                              c1, c2)
     if name == "klest":
         gen = builtin_generator("klest")
-        loss = construct_loss(gen, identity_ratio_map(), c1, c2,
-                              score_bounds=(-np.inf, RATIO_CAP))
+        loss = construct_loss(gen, identity_ratio_map(), c1, c2)
         eps = gen.domain_eps
 
         # b phi'(b) - phi(b) = b exactly, and -log extends by its tangent
@@ -226,12 +211,10 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
             ell_neg1=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     if name == "boost":
         return construct_loss(builtin_generator("boost"), exp_ratio_map(2.0),
-                              c1, c2,
-                              score_bounds=(-np.inf, 0.5 * np.log(RATIO_CAP)))
+                              c1, c2)
     if name == "poly":
         gen = builtin_generator("poly", k=k)
-        return construct_loss(gen, canonical_ratio_map(gen), c1, c2,
-                              score_bounds=(-np.inf, float(gen.phi1(RATIO_CAP))))
+        return construct_loss(gen, canonical_ratio_map(gen), c1, c2)
     if name == "ew":
         gen = builtin_generator("ew")
         loss = construct_loss(gen, canonical_ratio_map(gen), c1, c2)

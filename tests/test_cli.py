@@ -303,8 +303,7 @@ def test_metrics_report_the_final_gradient_norm(tmp_path, monkeypatch):
     g_matrix = gram(KernelSpec(kind="gaussian",
                                sigma=model["kernel"]["sigma"]),
                     centers, centers)
-    _, grad = empirical_risk(family_loss("lr"), g_matrix,
-                             np.repeat([1.0, -1.0], 20),
+    _, grad = empirical_risk(family_loss("lr"), g_matrix, 20,
                              np.asarray(model["coeffs"]), model["alpha"])
     assert float(np.max(np.abs(grad))) == pytest.approx(metrics["grad_norm"],
                                                         rel=1e-3)

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from ratioloss import (GRAM_JITTER, FitError, KernelSpec, PiecewisePairSpec,
-                       RatioModel, Rng, SampleSet, bfgs, builtin_generator,
+from ratioloss import (GRAM_JITTER, RATIO_CAP, FitError, KernelSpec,
+                       PiecewisePairSpec, RatioModel, Rng, SampleSet, bfgs, builtin_generator,
                        canonical_ratio_map, construct_loss,
                        cross_validate_alpha, default_pair, empirical_risk,
                        family_loss, fit, grad_check, gram,
@@ -20,6 +20,7 @@ from ratioloss import (GRAM_JITTER, FitError, KernelSpec, PiecewisePairSpec,
                        sample_piecewise, sup_error, piecewise_beta,
                        gaussian_pair)
 from ratioloss import dre, optim
+from ratioloss.generators import parse_family
 from ratioloss.dre import _run_jobs, _select_alpha
 
 
@@ -30,10 +31,10 @@ def small_samples(n=12, m=12, seed=0):
                      xs_q=sample_piecewise(spec, "q", m, rng, name="t/fit"))
 
 
-def test_sample_set_pooling_and_labels():
+def test_sample_set_pools_p_before_q():
     s = SampleSet(xs_p=np.array([0.0, 1.0]), xs_q=np.array([2.0]))
     assert s.pooled.shape == (3, 1)
-    assert np.array_equal(s.labels, [1.0, 1.0, -1.0])
+    assert np.array_equal(s.pooled[:, 0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         SampleSet(xs_p=np.zeros((2, 1)), xs_q=np.zeros((2, 2)))
 
@@ -50,7 +51,7 @@ def test_empirical_risk_at_zero_coefficients():
     s = small_samples()
     loss = family_loss("lr")
     g = gram(KernelSpec(kind="gaussian", sigma=1.0), s.pooled, s.pooled)
-    value, grad = empirical_risk(loss, g, s.labels, np.zeros(24), 0.1)
+    value, grad = empirical_risk(loss, g, len(s.xs_p), np.zeros(24), 0.1)
     assert value == pytest.approx(np.log(2.0), rel=1e-12)
     assert grad.shape == (24,)
 
@@ -61,10 +62,10 @@ def test_empirical_risk_gradient(family):
     loss = family_loss(family)
     g = gram(KernelSpec(kind="gaussian", sigma=0.7), s.pooled, s.pooled)
     rng = np.random.default_rng(3)
-    c0 = 0.05 * rng.standard_normal(len(s.labels))
+    c0 = 0.05 * rng.standard_normal(len(s.pooled))
 
     def obj(c):
-        return empirical_risk(loss, g, s.labels, c, 0.05)
+        return empirical_risk(loss, g, len(s.xs_p), c, 0.05)
 
     assert grad_check(obj, c0) < 1e-5
 
@@ -76,7 +77,7 @@ def test_closed_form_kulsif_zeroes_the_risk_gradient():
     kernel = KernelSpec(kind="gaussian", sigma=median_heuristic(s.pooled))
     model = kulsif_fit_closed_form(s, kernel, alpha=1e-3)
     g = gram(kernel, s.pooled, s.pooled)
-    _, grad = empirical_risk(family_loss("kulsif"), g, s.labels,
+    _, grad = empirical_risk(family_loss("kulsif"), g, len(s.xs_p),
                              model.coeffs, 1e-3)
     assert float(np.max(np.abs(grad))) < 1e-10
 
@@ -133,7 +134,7 @@ def test_dual_newton_fit_reaches_the_minimum(family, k, alpha):
     model = fit(s, loss, kernel, alpha, max_iter=300)
     assert model.status == "converged"
     g = gram(kernel, s.pooled, s.pooled)
-    ref = bfgs(lambda c: empirical_risk(loss, g, s.labels, c, alpha),
+    ref = bfgs(lambda c: empirical_risk(loss, g, len(s.xs_p), c, alpha),
                np.zeros(44), max_iter=3000, grad_tol=1e-14)
     assert model.train_risk <= ref.f_star + 1e-12 * max(1.0,
                                                        abs(ref.f_star))
@@ -160,7 +161,7 @@ def test_dual_newton_fit_with_ratios_below_the_generators_floor():
     assert model.solver == "newton"
     assert model.status == "converged"
     g = gram(kernel, s.pooled, s.pooled)
-    ref = bfgs(lambda c: empirical_risk(loss, g, s.labels, c, alpha),
+    ref = bfgs(lambda c: empirical_risk(loss, g, len(s.xs_p), c, alpha),
                np.zeros(44), max_iter=3000, grad_tol=1e-14)
     assert model.train_risk <= ref.f_star + 1e-12 * max(1.0,
                                                        abs(ref.f_star))
@@ -274,7 +275,7 @@ def test_train_risk_is_the_risk_at_the_returned_coefficients():
     model = fit(s, loss, KernelSpec(kind="gaussian", sigma="median"), 1e-4,
                 max_iter=100, clamp_budget=None)
     g = gram(model.kernel, s.pooled, s.pooled)
-    f, _ = empirical_risk(loss, g, s.labels, model.coeffs, 1e-4)
+    f, _ = empirical_risk(loss, g, len(s.xs_p), model.coeffs, 1e-4)
     assert abs(model.train_risk - f) <= 1e-12 * abs(f)
 
 
@@ -288,10 +289,55 @@ def test_fit_validation_and_budget():
     for alpha in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             kulsif_fit_closed_form(s, kernel, alpha=alpha)
-    # a degenerate bounds pair marks every score as out of range
-    loss = dataclasses.replace(family_loss("lr"), score_bounds=(0.0, 0.0))
+    # a ratio map that caps every score's estimate
+    loss = family_loss("lr")
+    capped = dataclasses.replace(
+        loss.ratio_map, g=lambda y: np.full(np.shape(y), RATIO_CAP))
+    loss = dataclasses.replace(loss, ratio_map=capped)
     with pytest.raises(FitError):
         fit(s, loss, kernel, alpha=0.1, max_iter=30)
+
+
+@pytest.mark.parametrize("label", ["kulsif", "lr", "klest", "boost", "poly0",
+                                   "poly1", "poly2.5", "poly6"])
+def test_the_clamp_counts_scores_whose_ratio_reaches_the_cap(label):
+    # the clamp check counts the training estimates that predict_ratio
+    # caps, so its score threshold is g^-1(RATIO_CAP) for every ratio
+    # map.  Scores sit 1e-14 relative to either side of it: poly's map
+    # ((1 + k) y)^(1/(1 + k)) shrinks a relative step by 1 + k, so one
+    # ulp of the score can leave g(y) on the same float at k = 6
+    name, k = parse_family(label)
+    loss = family_loss(name, k=k)
+    bound = float(loss.ratio_map.g_inv(RATIO_CAP))
+    assert 0.0 < bound < np.inf
+    assert dre._clamped_fraction(loss, np.array([bound * (1.0 + 1e-14)])) == 1.0
+    assert dre._clamped_fraction(loss, np.array([bound * (1.0 - 1e-14)])) == 0.0
+    assert dre._clamped_fraction(loss, np.array([-bound, 0.0, bound * 2.0])) == (
+        pytest.approx(1.0 / 3.0))
+
+
+def test_ew_estimates_never_reach_the_cap():
+    # ew's map log(2y)/2 reaches RATIO_CAP only at an infinite score
+    loss = family_loss("ew")
+    with np.errstate(over="ignore"):
+        assert float(loss.ratio_map.g_inv(RATIO_CAP)) == np.inf
+    scores = np.array([-1e300, 0.0, 1e300])
+    assert dre._clamped_fraction(loss, scores) == 0.0
+
+
+def test_a_custom_loss_whose_estimates_all_reach_the_cap_fails():
+    # canonical lr maps score 0 to ratio 1/expm1(1e-12), about 1e12, and a
+    # ridge of 1e13 pulls every score so close to 0 that every training
+    # estimate is capped; the clamp check of the custom loss sees it
+    gen = builtin_generator("lr")
+    loss = construct_loss(gen, canonical_ratio_map(gen))
+    s = small_samples()
+    kernel = KernelSpec(kind="gaussian", sigma=1.0)
+    model = fit(s, loss, kernel, alpha=1e13, clamp_budget=None)
+    assert model.status == "converged"
+    assert np.all(predict_ratio(model, s.pooled) == RATIO_CAP)
+    with pytest.raises(FitError):
+        fit(s, loss, kernel, alpha=1e13)
 
 
 def test_predict_ratio_caps_and_counts():

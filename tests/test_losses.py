@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratioloss import (RATIO_CAP, CertificationError, DiscretePair, RatioMap,
+from ratioloss import (CertificationError, DiscretePair, RatioMap,
                        bayes_risk, builtin_generator, canonical_ratio_map,
                        conditional_risk, construct_loss, convexity_margin,
                        excess_risk_identity_check, exp_ratio_map, family_loss,
@@ -148,15 +148,6 @@ def test_lr_link_is_the_logit():
     # both partial losses are log 2 at the score of an even ratio
     assert float(loss.ell_pos(0.0)) == pytest.approx(np.log(2.0))
     assert float(loss.ell_neg(0.0)) == pytest.approx(np.log(2.0))
-
-
-def test_score_bounds_per_family():
-    assert make_loss("kulsif").score_bounds == (-np.inf, RATIO_CAP)
-    assert make_loss("lr").score_bounds == (-np.inf, np.log(RATIO_CAP))
-    assert make_loss("boost").score_bounds == (-np.inf, 0.5 * np.log(RATIO_CAP))
-    lo, hi = make_loss("poly6").score_bounds
-    assert lo == -np.inf and hi == pytest.approx(RATIO_CAP ** 7 / 7.0, rel=1e-12)
-    assert make_loss("ew").score_bounds == (-np.inf, np.inf)
 
 
 def test_ratio_map_chain_derivatives():

@@ -227,7 +227,7 @@ def test_matches_dense_reference_on_ew_risk():
     loss = family_loss("ew")
 
     def obj(c):
-        return empirical_risk(loss, g, s.labels, c, 1e-2)
+        return empirical_risk(loss, g, len(s.xs_p), c, 1e-2)
 
     _assert_same_run(obj, np.zeros(60), space=g, max_iter=300)
 
@@ -362,7 +362,7 @@ def test_score_space_fit_matches_dense_reference(monkeypatch, family, alpha):
     loss = family_loss(family)
     g = gram(kernel, s.pooled, s.pooled)
     ref = reference_bfgs(
-        lambda c: empirical_risk(loss, g, s.labels, c, alpha),
+        lambda c: empirical_risk(loss, g, len(s.xs_p), c, alpha),
         np.zeros(60), max_iter=300)
     model = fit(s, loss, kernel, alpha, max_iter=300, clamp_budget=None)
     assert model.status == ref.status == "converged"
