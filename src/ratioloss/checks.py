@@ -31,6 +31,9 @@ CHECK_FAMILIES = ("kulsif", "lr", "klest", "boost", "poly0", "poly1",
 _BETA_RANGE = {"poly6": (0.2, 2.0), "ew": (0.15, 2.5)}
 _DEFAULT_BETA_RANGE = (0.15, 4.0)
 
+# (lo, hi, n): check_convexity's ratio values, geomspace(lo, hi, n)
+CONVEXITY_GRID = (1e-6, 50.0, 400)
+
 
 def _family_cases(n_cases: int):
     """Yield (loss, lo, hi) n_cases // len(CHECK_FAMILIES) + 1 times per
@@ -84,15 +87,21 @@ def check_excess_risk(seed: int = 0, n_pairs: int = 200,
 
 def check_convexity(tolerance: float = 1e-9, fd_tolerance: float = 1e-8) -> dict:
     """Both convexity slacks are nonnegative for every family's own
-    (generator, ratio map) pairing, and numerical second derivatives of
-    the partial losses agree."""
-    x = np.geomspace(1e-6, 50.0, 400)
-    slack = []  # per point, the lower of the two slacks
+    (generator, ratio map) pairing on CONVEXITY_GRID, and numerical
+    second derivatives of the partial losses agree.
+
+    Each point's lower slack is held to tolerance in units of 1/x, as
+    x times the slack, so the test asks the same relative accuracy of
+    the terms of size 1/x at every x: an exactly-zero slack formed from
+    1/x = 1e6 rounds to one ulp of 1e6, 1.2e-10, where x times it reads
+    about 1e-16."""
+    x = np.geomspace(*CONVEXITY_GRID)
+    slack = []  # per point, x times the lower of the two slacks
     fd = []  # numerical second derivatives
     for name in CHECK_FAMILIES:
         loss = family_loss(*parse_family(name))
         margins = convexity_margin(loss.generator, loss.ratio_map, x)
-        slack.extend(np.minimum(*margins))
+        slack.extend(x * np.minimum(*margins))
         lo, hi = _BETA_RANGE.get(name, _DEFAULT_BETA_RANGE)
         ys = loss.ratio_map.g_inv(np.linspace(lo, hi, 60))
         for label in (1, -1):

@@ -1,14 +1,17 @@
 """Density ratio estimation by regularized kernel risk minimization.
 
 The n points of P and the m of Q are pooled, P first; a kernel
-expansion f(x) = sum_i c_i k(x, x_i) over the pooled points minimizes
-the penalized average classification risk
+expansion f(x) = sum_i c_i k(x, x_i) over the N = n + m pooled points
+minimizes the penalized class-balanced classification risk
 
-    (1/N) (sum_P ell_pos(f(x_i)) + sum_Q ell_neg(f(x_j))) + alpha c' G c,
+    (1/N) (w_P sum_P ell_pos(f(x_i)) + w_Q sum_Q ell_neg(f(x_j)))
+        + alpha c' G c,   w_P = N/(2n), w_Q = N/(2m),
 
-and the ratio estimate is beta_hat(x) = g(f(x)) through the loss's
-ratio map.  _solver picks projected Newton on the dual or BFGS for
-each fit.
+that is sum_P ell_pos/(2n) + sum_Q ell_neg/(2m) + alpha c' G c, whose
+minimizer estimates beta with even class priors whatever n/m; both
+weights are exactly 1 when n = m.  The ratio estimate is beta_hat(x) =
+g(f(x)) through the loss's ratio map.  _solver picks projected Newton
+on the dual or BFGS for each fit.
 """
 from __future__ import annotations
 
@@ -86,8 +89,8 @@ class RatioModel:
 
 def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray, n_p: int,
                    coeffs: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """Penalized average risk and its gradient in the coefficients; the
-    first n_p points are P, the rest Q."""
+    """Penalized class-balanced risk and its gradient in the
+    coefficients; the first n_p points are P, the rest Q."""
     value, u = _score_risk(loss, n_p, coeffs, gram_matrix @ coeffs, alpha)
     return value, gram_matrix @ u
 
@@ -98,8 +101,9 @@ def _score_risk(loss: CompositeLoss, n_p: int, coeffs: np.ndarray,
     u = v/N + 2 alpha c for v the partial-loss derivatives, so that the
     gradient in c is G u."""
     value = _risk(loss, n_p, coeffs, scores, alpha)
-    v = np.concatenate([loss.ell_pos1(scores[:n_p]),
-                        loss.ell_neg1(scores[n_p:])])
+    w_p, w_q = _class_weights(n_p, scores.size)
+    v = np.concatenate([w_p * loss.ell_pos1(scores[:n_p]),
+                        w_q * loss.ell_neg1(scores[n_p:])])
     return value, v / scores.size + 2.0 * alpha * coeffs
 
 
@@ -110,9 +114,20 @@ def _risk(loss: CompositeLoss, n_p: int, coeffs: np.ndarray,
 
 
 def _data_risk(loss: CompositeLoss, scores: np.ndarray, n_p: int) -> float:
-    """Average partial loss of scores, the first n_p of them P points."""
-    return (float(np.sum(loss.ell_pos(scores[:n_p]))) +
-            float(np.sum(loss.ell_neg(scores[n_p:])))) / scores.size
+    """Class-balanced partial loss of scores, the first n_p of them P
+    points."""
+    w_p, w_q = _class_weights(n_p, scores.size)
+    return (w_p * float(np.sum(loss.ell_pos(scores[:n_p]))) +
+            w_q * float(np.sum(loss.ell_neg(scores[n_p:])))) / scores.size
+
+
+def _class_weights(n_p: int, n_pooled: int) -> tuple[float, float]:
+    """(w_P, w_Q) = (N/(2n), N/(2m)) for n = n_p P points among
+    N = n_pooled; ValueError unless both classes hold a point."""
+    if not 0 < n_p < n_pooled:
+        raise ValueError(
+            f"need P and Q points, got {n_p} P points among {n_pooled}")
+    return n_pooled / (2 * n_p), n_pooled / (2 * (n_pooled - n_p))
 
 
 def _fit_setup(samples: SampleSet, kernel: KernelSpec, alpha: float):
@@ -143,17 +158,19 @@ def _dual_risk(gen: BregmanGenerator, g_qq: np.ndarray, b: np.ndarray,
     score units.
 
     With ell_pos(y) = c - y and ell_neg' = g = (phi')^-1, the conjugate
-    of ell_neg is phi - c1 on phi's domain, and the fit's coefficients
-    are c_P = 1/rho and c_Q = -beta/rho, where beta minimizes
+    of ell_neg is phi - c1 on phi's domain, and the coefficients of the
+    class-balanced fit are c_P = w_P/rho and c_Q = -w_Q beta/rho, where
+    beta minimizes
 
-        sum_j phi(beta_j) + (beta' G_QQ beta / 2 - b' beta) / rho
+        sum_j phi(beta_j) + (beta' g_qq beta / 2 - b' beta) / rho
 
-    over beta >= g(-inf), for b = G_QP 1: the dual without the constant
-    -m c1, so its value does not depend on c1.  Its gradient is
-    phi'(beta) - s_Q, where s_Q = (b - G_QQ beta) / rho are the Q scores
-    of those coefficients, and its Hessian is diag(phi''(beta)) +
-    G_QQ / rho.  A generator clipped at domain_eps is flat below it,
-    while phi' keeps the floor's slope, so where g(-inf) lies lower (0
+    over beta >= g(-inf), for g_qq = w_Q G_QQ and b = w_P G_QP 1: the
+    dual divided by w_Q, without the constant -m c1, so its value does
+    not depend on c1.  Its gradient is phi'(beta) - s_Q, where s_Q = (b -
+    g_qq beta) / rho are the Q scores of those coefficients, and its
+    Hessian is diag(phi''(beta)) + g_qq / rho.  A generator clipped at
+    domain_eps is flat below it, while phi' keeps the floor's slope, so
+    where g(-inf) lies lower (0
     for klest, 1.8e-43 for poly k = 6) the value on [g(-inf),
     domain_eps) is phi(domain_eps), not the conjugate's tangent
     continuation: off by at most domain_eps |phi'(domain_eps)| per
@@ -189,7 +206,8 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     max_iter caps the Newton steps, and grad_norm is the dual's
     projected gradient norm in score units.  "bfgs" runs from the zero
     coefficient vector, and grad_norm is |G u|_inf.  Either way
-    train_risk is the penalized risk at the returned coefficients.
+    train_risk is the penalized class-balanced risk at the returned
+    coefficients.
 
     A gaussian kernel with sigma MEDIAN gets the median heuristic over
     the pooled points, P first; the model holds the numeric sigma.
@@ -205,12 +223,14 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     solver = _solver(loss, alpha, n_q)
     if solver == "newton":
         rho = 2.0 * alpha * len(centers)
-        obj, hess = _dual_risk(loss.generator, g_matrix[n_p:, n_p:],
-                               np.sum(g_matrix[n_p:, :n_p], axis=1), rho)
+        w_p, w_q = _class_weights(n_p, len(centers))
+        obj, hess = _dual_risk(loss.generator, w_q * g_matrix[n_p:, n_p:],
+                               w_p * np.sum(g_matrix[n_p:, :n_p], axis=1), rho)
         res = _projected_newton(obj, hess, np.ones(n_q),
                                 float(loss.ratio_map.g(-np.inf)),
                                 max_iter=max_iter, grad_tol=grad_tol)
-        coeffs = np.concatenate([np.full(n_p, 1.0 / rho), -res.x_star / rho])
+        coeffs = np.concatenate([np.full(n_p, w_p / rho),
+                                 -w_q * res.x_star / rho])
     else:
         def obj(point):
             c, scores = point
@@ -232,8 +252,8 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
         frac = _clamped_fraction(loss, scores)
         if frac > clamp_budget:
             raise FitError(
-                f"{frac:.1%} of training scores fall outside the ratio "
-                f"map's range (budget {clamp_budget:.1%})")
+                f"{frac:.1%} of training ratio estimates reach the cap "
+                f"{RATIO_CAP:g} (budget {clamp_budget:.1%})")
     return model
 
 
@@ -250,27 +270,30 @@ def kulsif_fit_closed_form(samples: SampleSet, kernel: KernelSpec,
                            alpha: float) -> RatioModel:
     """Direct linear-system solution of the kulsif objective.
 
-    The first-order condition of the kulsif empirical risk is
-    (D_Q G + ridge I) c = 1_P with ridge = 2 alpha N.  Its P rows read
-    ridge c_P = 1, so only the Q block is solved:
-    (G_QQ + ridge I) c_Q = -G_QP c_P.  Matches the BFGS fit in predicted
-    scores.
+    The first-order condition of the class-balanced kulsif risk, with
+    ridge = 2 alpha N and the class weights w_P, w_Q of the module
+    docstring, has P rows ridge c_P = w_P, so only the Q block is
+    solved: (w_Q G_QQ + ridge I) c_Q = -w_Q G_QP c_P.  Matches the BFGS
+    fit in predicted scores.
 
     alpha = 0 is solved with ridge GRAM_JITTER (1e-10), which is then
-    part of the estimator: every P coefficient is exactly 1e10, and the
-    Q system can have condition number near 1e13, so its solution is
-    only backward-stable, not accurate to more than a few digits.
+    part of the estimator: every P coefficient is exactly
+    w_P/GRAM_JITTER, and the Q system can have condition number near
+    1e13, so its solution is only backward-stable, not accurate to more
+    than a few digits.
     A median sigma is resolved as in fit.
     """
     centers, kernel, g_matrix = _fit_setup(samples, kernel, alpha)
     n_p, n_q = len(samples.xs_p), len(samples.xs_q)
+    w_p, w_q = _class_weights(n_p, len(centers))
     ridge = 2.0 * alpha * len(centers) if alpha > 0 else GRAM_JITTER
     coeffs = np.empty(len(centers))
-    coeffs[:n_p] = 1.0 / ridge
-    lhs = g_matrix[n_p:, n_p:].copy()
+    coeffs[:n_p] = w_p / ridge
+    lhs = w_q * g_matrix[n_p:, n_p:]
     lhs[np.diag_indices(n_q)] += ridge
     try:
-        coeffs[n_p:] = np.linalg.solve(lhs, -(g_matrix[n_p:, :n_p] @ coeffs[:n_p]))
+        coeffs[n_p:] = np.linalg.solve(
+            lhs, -w_q * (g_matrix[n_p:, :n_p] @ coeffs[:n_p]))
     except np.linalg.LinAlgError as exc:
         raise FitError(f"kulsif linear system is singular: {exc}") from exc
     loss = family_loss("kulsif")
@@ -327,7 +350,8 @@ def cross_validate_alpha(samples: SampleSet, loss: CompositeLoss,
                          n_folds: int = 5, rng: Optional[Rng] = None,
                          max_iter: int = 100,
                          grad_tol: float = 1e-8) -> CrossValidation:
-    """K-fold selection of alpha by held-out unpenalized risk.
+    """K-fold selection of alpha by held-out unpenalized class-balanced
+    risk.
 
     Folds are stratified by class; ties go to the smaller alpha.
     Alphas whose held-out risk is non-finite stay in the table but are

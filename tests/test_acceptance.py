@@ -68,8 +68,9 @@ def test_a03_canonical_ratio_maps_have_closed_forms():
 
 
 def test_a04_canonical_losses_are_certifiably_convex():
-    # analytic convexity slacks stay above -1e-9 on [1e-6, 50] and
-    # numeric second derivatives of both partial losses above -1e-8
+    # analytic convexity slacks, in units of 1/x, stay above -1e-9 on
+    # [1e-6, 50] and numeric second derivatives of both partial losses
+    # above -1e-8
     report = check_convexity(tolerance=1e-9, fd_tolerance=1e-8)
     assert report["detail"]["slack_violation"] <= 1e-9
     assert report["detail"]["fd_violation"] <= 1e-8
@@ -280,12 +281,16 @@ ATOM_COUNTS = {"equal": [(3, 6), (5, 6), (8, 4), (2, 9), (12, 5)],
 
 
 def _atom_roots(loss, n_j, m_j, alpha):
-    """Per-atom root of n_j ell_pos'(s) + m_j ell_neg'(s) + 2 alpha N s,
-    increasing in s, by bisection to adjacent floats."""
-    rate = 2.0 * alpha * (n_j.sum() + m_j.sum())
+    """Per-atom root of w_P n_j ell_pos'(s) + w_Q m_j ell_neg'(s) +
+    2 alpha N s, increasing in s, by bisection to adjacent floats; w_P =
+    N/(2n) and w_Q = N/(2m) are the class weights of the balanced risk."""
+    n, m = n_j.sum(), m_j.sum()
+    rate = 2.0 * alpha * (n + m)
+    w_p, w_q = (n + m) / (2.0 * n), (n + m) / (2.0 * m)
 
     def slope(s):
-        return n_j * loss.ell_pos1(s) + m_j * loss.ell_neg1(s) + rate * s
+        return (w_p * n_j * loss.ell_pos1(s) + w_q * m_j * loss.ell_neg1(s)
+                + rate * s)
 
     lo, hi = -np.ones(n_j.size), np.ones(n_j.size)
     while np.any(slope(lo) > 0.0):

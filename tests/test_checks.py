@@ -21,11 +21,11 @@ HEADROOM_BOUNDS = {
     "diamond-transform": 1e-12,
     "affine-invariance": 1e-13,
 }
-# the convexity group's slack part has a bound of its own: klest's lower
-# slack is exactly 0 (ell_neg is linear) and rounds to -1.16e-10, one
-# ulp of the 1/x = 1e6 it is formed from; HEADROOM_BOUNDS["convexity"]
-# guards the second differences
-CONVEXITY_SLACK_BOUND = 2.5e-10
+# the convexity group's slack part has a bound of its own, in units of
+# 1/x: klest's lower slack is exactly 0 (ell_neg is linear) and rounds
+# to one ulp of the 1/x it is formed from, 4.1e-16 once scaled by x;
+# HEADROOM_BOUNDS["convexity"] guards the second differences
+CONVEXITY_SLACK_BOUND = 1e-14
 
 
 def test_run_all_passes_with_headroom():
@@ -120,6 +120,17 @@ def test_a_nan_second_difference_fails_convexity(monkeypatch):
     assert not g["passed"]
     assert np.isnan(g["max_residual"])
     assert np.isnan(g["detail"]["fd_violation"])
+    assert g["detail"]["slack_violation"] <= CONVEXITY_SLACK_BOUND
+    assert g["cases"] == 8 * 400 + 8 * 2 * 60
+
+
+def test_convexity_passes_on_a_grid_from_1e_7(monkeypatch):
+    # from x = 1e-7 the unscaled slack of klest rounds to -1.86e-9, one
+    # ulp of 1/x = 1e7, and failed the 1e-9 tolerance by rounding alone;
+    # scaled by x it reads 3.3e-16
+    monkeypatch.setattr(checks, "CONVEXITY_GRID", (1e-7, 50.0, 400))
+    g = checks.check_convexity()
+    assert g["passed"], g
     assert g["detail"]["slack_violation"] <= CONVEXITY_SLACK_BOUND
     assert g["cases"] == 8 * 400 + 8 * 2 * 60
 
