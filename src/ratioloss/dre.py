@@ -63,6 +63,8 @@ class SampleSet:
 
     @property
     def pooled(self) -> np.ndarray:
+        """The P points, then the Q points: fits read the split from
+        this order."""
         return np.vstack([self.xs_p, self.xs_q])
 
 
