@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from ratioloss import (GRAM_JITTER, RATIO_CAP, FitError, KernelSpec,
-                       PiecewisePairSpec, RatioModel, Rng, SampleSet, bfgs, builtin_generator,
-                       canonical_ratio_map, construct_loss,
+                       PiecewisePairSpec, RatioModel, Rng, SampleSet, bfgs,
+                       builtin_generator, canonical_ratio_map, construct_loss,
                        cross_validate_alpha, default_pair, empirical_risk,
                        family_loss, fit, grad_check, gram,
                        kulsif_fit_closed_form, median_heuristic,
