@@ -13,7 +13,7 @@ from .losses import (CertificationError, CompositeLoss, RatioMap, bayes_risk,
                      identity_ratio_map, reid_convexity_margins,
                      shuford_weight)
 from .kernels import (GRAM_JITTER, MEDIAN, KernelSpec, as_points, gram,
-                      median_gram, median_heuristic)
+                      gram_dot, median_gram, median_heuristic)
 from .optim import bfgs, grad_check
 from .quadrature import integrate, simpson_nodes, simpson_weights
 from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
@@ -44,8 +44,8 @@ __all__ = [
     "divergence_discrete", "divergence_quadrature", "empirical_risk",
     "excess_risk_identity_check", "exp_ratio_map", "family_loss", "figure1",
     "figure2", "figure3", "fit", "gamma_funcs", "gaussian_pair", "grad_check",
-    "gram", "identity_ratio_map", "integrate", "iwa_aggregate", "iwv_select",
-    "krr_predictor", "kulsif_fit_closed_form",
+    "gram", "gram_dot", "identity_ratio_map", "integrate", "iwa_aggregate",
+    "iwv_select", "krr_predictor", "kulsif_fit_closed_form",
     "median_gram", "median_heuristic", "piecewise_beta",
     "population_fit_parametric", "predict_ratio", "properness_residuals",
     "regression_task", "reid_convexity_margins", "run_all",

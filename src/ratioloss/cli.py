@@ -5,8 +5,11 @@ be supplied on the command line or through a flat JSON --config file;
 explicit command line flags win.  Exit codes: 0 success, 1 usage or
 configuration error, 2 numerical failure, 3 identity-suite failure.
 
-All outputs are deterministic for a given seed: JSON is written with
-sorted keys and CSV floats with repr, so reruns are byte-identical.
+All outputs are deterministic for a given seed on a given CPU set: JSON
+is written with sorted keys and CSV floats with repr, so reruns are
+byte-identical.  OpenBLAS runs one thread per usable CPU, and some of
+its solves round differently with another thread count: dual-Newton ew
+fits and fig3's dual solve write other bytes on one CPU than on two.
 """
 from __future__ import annotations
 

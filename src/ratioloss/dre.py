@@ -24,8 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .generators import DOMAIN_EPS, RATIO_CAP, BregmanGenerator, bregman_term
-from .kernels import (GRAM_JITTER, KernelSpec, as_points, gram, median_gram,
-                      median_heuristic)
+from .kernels import (GRAM_JITTER, KernelSpec, as_points, gram, gram_dot,
+                      median_gram, median_heuristic)
 from .losses import CompositeLoss, family_loss
 from .optim import _check_stopping, _projected_newton, bfgs
 from .synth import PiecewisePairSpec, Rng, piecewise_beta
@@ -81,7 +81,7 @@ class RatioModel:
     solver: str = ""  # "newton", "bfgs" or "closed_form": the one that ran
 
     def scores(self, xs) -> np.ndarray:
-        return gram(self.kernel, xs, self.centers) @ self.coeffs
+        return gram_dot(self.kernel, xs, self.centers, self.coeffs)
 
     @property
     def unconverged(self) -> bool:

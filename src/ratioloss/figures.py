@@ -14,7 +14,7 @@ import numpy as np
 from .dre import (SampleSet, _run_jobs, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
 from .generators import builtin_generator, parse_family
-from .kernels import MEDIAN, KernelSpec, gram
+from .kernels import MEDIAN, KernelSpec, gram_dot
 from .losses import family_loss
 from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
                     regression_task, target_function)
@@ -144,16 +144,16 @@ def figure3(seed: int = 0, n_src: int = 200, n_tgt: int = 200,
         predictors[name] = krr_predictor(wtask, coeffs[name])
     # squared L^2(mu) distances of the predictors from the target, piece
     # by piece against the piecewise densities; every predictor and both
-    # measures share one Gram on each piece's Simpson nodes
+    # measures share one pass over each piece's Simpson nodes
     l2p_sq = dict.fromkeys(weightings, 0.0)
     l2q_sq = dict.fromkeys(weightings, 0.0)
+    stacked = np.column_stack([coeffs[name] for name in weightings])
     for xs, w, p_level, q_level in spec.pieces(l2_nodes):
         target = target_function(xs)
-        k_nodes = gram(kernel, xs, src)
-        for name in weightings:
-            sq = float(w @ (k_nodes @ coeffs[name] - target) ** 2)
+        preds = gram_dot(kernel, xs, src, stacked)
+        for j, name in enumerate(weightings):
+            sq = float(w @ (preds[:, j] - target) ** 2)
             l2p_sq[name] += p_level * sq
             l2q_sq[name] += q_level * sq
-        del k_nodes  # free before the next piece's Gram is formed
     return {"population_fits": pop, "weightings": weightings,
             "predictors": predictors, "l2p_sq": l2p_sq, "l2q_sq": l2q_sq}

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import GRAM_JITTER, KernelSpec, as_points, gram
+from .kernels import GRAM_JITTER, KernelSpec, as_points, gram, gram_dot
 
 AGG_RIDGE = 1e-8
 
@@ -79,7 +79,7 @@ def weighted_krr(task: WeightedRegressionTask) -> np.ndarray:
 def krr_predictor(task: WeightedRegressionTask,
                   coeffs: np.ndarray) -> Predictor:
     def predict(xs):
-        return gram(task.kernel, xs, task.xs) @ coeffs
+        return gram_dot(task.kernel, xs, task.xs, coeffs)
     return predict
 
 

@@ -134,6 +134,33 @@ def gram(spec: KernelSpec, x, y) -> np.ndarray:
     return np.power(k, spec.degree, out=k)
 
 
+def gram_dot(spec: KernelSpec, x, y, coeffs) -> np.ndarray:
+    """gram(spec, x, y) @ coeffs, without the whole cross Gram.
+
+    The Gram is formed a block of rows of x at a time: the largest
+    multiple of DIST_ROWS rows that stays under MAPPED_BYTES // 4 bytes,
+    and never fewer than DIST_ROWS.  Such a block comes from the heap
+    and is small enough not to stay resident there.  Whole multiples of
+    DIST_ROWS rows gave the same bits with 1 and 2 OpenBLAS threads,
+    where a whole 2001 x 2000 product did not.  For 2-d coeffs,
+    column j is block @ coeffs[:, j], so it equals the 1-d call on that
+    column bit for bit.
+    """
+    x = as_points(x)
+    y = as_points(y)
+    c = np.asarray(coeffs, dtype=float)
+    cols = np.ascontiguousarray(np.atleast_2d(c.T))
+    out = np.empty((len(cols), len(x)))
+    rows = (MAPPED_BYTES // 4 - 1) // (max(len(y), 1) * 8)
+    rows = max(DIST_ROWS, rows // DIST_ROWS * DIST_ROWS)
+    # one block even for no rows, so gram checks the arguments
+    for i in range(0, max(len(x), 1), rows):
+        block = gram(spec, x[i:i + rows], y)
+        for o, col in zip(out, cols):
+            o[i:i + rows] = block @ col
+    return out[0] if c.ndim == 1 else out.T
+
+
 def _median_sq_dist(sq: np.ndarray) -> float:
     """Median pairwise distance over pairs i < j, from the square
     matrix sq of squared distances.

@@ -115,6 +115,54 @@ def test_eval_counts_capped_predictions(tmp_path):
         capped)
 
 
+def _n2000_model(path):
+    """A model.json of a kulsif ratio model on 2000 centers in [0, 1];
+    its ratio map is the identity, so every bit of a score is written."""
+    rng = np.random.default_rng(8)
+    path.write_text(json.dumps({
+        "family": "kulsif", "alpha": 1e-3,
+        "kernel": {"kind": "gaussian", "sigma": 0.3},
+        "centers": rng.uniform(0.0, 1.0, (2000, 1)).tolist(),
+        "coeffs": rng.uniform(0.0, 1e-3, 2000).tolist()}))
+    return path
+
+
+def test_eval_forms_no_gram_block_of_a_quarter_map(tmp_path, monkeypatch):
+    # 2001 x 2000 is 32 MB; blocks of 64 rows are 1,024,000 bytes
+    model = _n2000_model(tmp_path / "model.json")
+    shapes = []
+    for mod in (kernels, dre):  # every binding a prediction might call
+        def spy(spec, x, y, inner=mod.gram):
+            k = inner(spec, x, y)
+            shapes.append(k.shape)
+            return k
+        monkeypatch.setattr(mod, "gram", spy)
+    assert main(["eval", "--model", str(model), "--grid-n", "2001",
+                 "--pair", "piecewise", "--out", str(tmp_path / "ev")]) == 0
+    assert sum(rows for rows, _ in shapes) == 2001
+    assert max(rows * cols * 8 for rows, cols in shapes) < (
+        kernels.MAPPED_BYTES // 4)
+
+
+@pytest.mark.skipif(dre._openblas_threads() is None,
+                    reason="numpy exports no OpenBLAS thread control")
+def test_eval_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    model = _n2000_model(tmp_path / "model.json")
+    get, set_ = dre._openblas_threads()
+    threads = get()
+    written = []
+    try:
+        for n_threads in (1, 2):
+            set_(n_threads)
+            out = tmp_path / f"ev{n_threads}"
+            assert main(["eval", "--model", str(model), "--grid-n", "2001",
+                         "--pair", "piecewise", "--out", str(out)]) == 0
+            written.append((out / "predictions.csv").read_bytes())
+    finally:
+        set_(threads)
+    assert written[0] == written[1]
+
+
 def test_fit_accepts_data_files(tmp_path):
     rng = np.random.default_rng(0)
     p_file, q_file = tmp_path / "p.csv", tmp_path / "q.csv"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ratioloss import (MEDIAN, KernelSpec, as_points, gram, kernels,
-                       median_gram, median_heuristic)
+from ratioloss import (MEDIAN, KernelSpec, as_points, gram, gram_dot,
+                       kernels, median_gram, median_heuristic)
 
 
 def test_kernel_spec_validation():
@@ -220,3 +220,81 @@ def test_large_grams_are_mapped_and_round_as_heap_arrays(monkeypatch):
     for k_mapped, k_heap in zip(mapped, heap):
         assert np.array_equal(k_mapped, k_heap)
     assert np.array_equal(mapped[0], dense_gaussian_gram(0.7, x, y))
+
+
+def _gram_blocks(monkeypatch):
+    """The shapes of the Grams kernels.gram forms while the test runs."""
+    shapes = []
+    inner = kernels.gram
+
+    def spy(spec, x, y):
+        k = inner(spec, x, y)
+        shapes.append(k.shape)
+        return k
+
+    monkeypatch.setattr(kernels, "gram", spy)
+    return shapes
+
+
+GRAM_DOT_SPECS = [KernelSpec(kind="gaussian", sigma=0.6),
+                  KernelSpec(kind="polynomial", degree=5, offset=0.5)]
+
+
+@pytest.mark.parametrize("spec", GRAM_DOT_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1000, 2001])
+def test_gram_dot_is_the_gram_product_one_block_at_a_time(n, d, spec,
+                                                          monkeypatch):
+    rng = np.random.default_rng(10 * n + d)
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal((700, d))
+    c = rng.standard_normal(len(y))
+    whole = gram(spec, x, y) @ c
+    shapes = _gram_blocks(monkeypatch)
+    got = gram_dot(spec, x, y, c)
+    assert got.shape == (n,)
+    # 700 columns give blocks of 128 rows: 128 * 700 * 8 bytes < 1 MiB
+    assert all(rows <= 128 for rows, _ in shapes)
+    assert all(rows * cols * 8 < kernels.MAPPED_BYTES // 4
+               for rows, cols in shapes)
+    if n <= 128:  # one block: the same gemv on the same rows
+        assert np.array_equal(got, whole)
+    else:
+        scale = np.max(np.abs(whole))
+        assert np.max(np.abs(got - whole)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("spec", GRAM_DOT_SPECS, ids=lambda s: s.kind)
+def test_gram_dot_columns_equal_the_one_column_call(spec):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((1500, 2))
+    y = rng.standard_normal((300, 2))
+    cs = rng.standard_normal((len(y), 4))
+    got = gram_dot(spec, x, y, cs)
+    assert got.shape == (len(x), 4)
+    for j in range(cs.shape[1]):
+        assert np.array_equal(got[:, j], gram_dot(spec, x, y, cs[:, j]))
+    assert gram_dot(spec, x[:0], y, cs).shape == (0, 4)
+
+
+@pytest.mark.parametrize("cols, rows", [(2000, 64), (200, 640), (700, 128),
+                                        (5000, 64), (1, 131008)])
+def test_gram_dot_blocks_are_multiples_of_dist_rows_under_a_quarter_map(
+        cols, rows, monkeypatch):
+    x = np.linspace(-1.0, 1.0, 2 * rows + 1)
+    y = np.linspace(-1.0, 1.0, cols)
+    shapes = _gram_blocks(monkeypatch)
+    gram_dot(KernelSpec(kind="gaussian", sigma=0.5), x, y, np.ones(cols))
+    assert [r for r, _ in shapes] == [rows, rows, 1]
+    assert rows % kernels.DIST_ROWS == 0
+    assert rows == kernels.DIST_ROWS or rows * cols * 8 < kernels.MAPPED_BYTES // 4
+
+
+def test_gram_dot_checks_its_arguments_also_for_no_rows():
+    spec = KernelSpec(kind="gaussian", sigma=1.0)
+    with pytest.raises(ValueError, match="mismatched dimensions"):
+        gram_dot(spec, np.zeros((0, 1)), np.zeros((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="resolved by fitting"):
+        gram_dot(KernelSpec(kind="gaussian", sigma=MEDIAN), [], [0.0], [1.0])
+    with pytest.raises(ValueError):
+        gram_dot(spec, np.zeros((5, 1)), np.zeros((3, 1)), np.ones(4))
