@@ -7,7 +7,7 @@ from one seed; the CLI surfaces the result as `ratioloss check`.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .generators import (BregmanGenerator, DiscretePair, builtin_generator,
 from .losses import (CompositeLoss, bayes_risk, conditional_risk,
                      convexity_margin, excess_risk_identity_check,
                      family_loss, shuford_weight)
-from .optim import bfgs
 from .synth import Rng
 
 # Families exercised by the suite.  poly is taken at several exponents.
@@ -239,30 +238,6 @@ def check_affine_invariance(seed: int = 0, n_cases: int = 60,
             d1 = divergence_discrete(shifted, pair, rhat)
             residuals.append(abs(d0 - d1))
     return _report("affine-invariance", residuals, tolerance)
-
-
-def properness_residuals(loss: CompositeLoss, etas: Sequence[float],
-                         max_iter: int = 200) -> np.ndarray:
-    """For each eta, minimize the conditional risk over scores starting
-    away from the link value and report |minimizer - link(eta)| scaled
-    by |link(eta)| where that is large."""
-    out = []
-    for eta in etas:
-        y_star = loss.link(float(eta))
-
-        def obj(y: np.ndarray):
-            yv = float(y[0])
-            val = conditional_risk(loss, float(eta), yv)
-            h = 1e-6 * max(1.0, abs(yv))
-            g = (conditional_risk(loss, float(eta), yv + h)
-                 - conditional_risk(loss, float(eta), yv - h)) / (2 * h)
-            return val, np.array([g])
-
-        res = bfgs(obj, np.array([y_star + 0.1]), max_iter=max_iter,
-                   grad_tol=1e-12)
-        out.append(abs(float(res.x_star[0]) - y_star)
-                   / max(1.0, abs(y_star)))
-    return np.array(out)
 
 
 CHECK_GROUPS: dict[str, Callable[..., dict]] = {

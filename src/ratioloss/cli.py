@@ -190,7 +190,9 @@ SCHEMAS: dict = {
         "out": (str, _REQUIRED, "output directory"),
         "seed": (_int, 0, "sampling seed"),
         "n_src": (_int, 200, "source (denominator) sample size"),
-        "n_tgt": (_int, 200, "target (numerator) sample size"),
+        "n_tgt": (_int, 200, "ignored: fig3 draws no target sample; kept "
+                  "so that existing invocations still parse, and due to "
+                  "be removed"),
         "noise": (_float, 0.1, "observation noise level"),
         "degree": (_int, 5, "polynomial kernel degree"),
         "alpha": (_float, 1e-32, "ridge weight for the regressions"),
@@ -445,10 +447,10 @@ def cmd_fig2(o: dict) -> int:
 
 
 def cmd_fig3(o: dict) -> int:
-    res = figure3(seed=o["seed"], n_src=o["n_src"], n_tgt=o["n_tgt"],
-                  noise_sigma=o["noise"], degree=o["degree"],
-                  alpha=o["alpha"], quad_nodes=o["quad_nodes"],
-                  max_iter=o["max_iter"], l2_nodes=o["l2_nodes"])
+    res = figure3(seed=o["seed"], n_src=o["n_src"], noise_sigma=o["noise"],
+                  degree=o["degree"], alpha=o["alpha"],
+                  quad_nodes=o["quad_nodes"], max_iter=o["max_iter"],
+                  l2_nodes=o["l2_nodes"])
     pop = res["population_fits"]  # ew and lr
     spec = default_pair()
     grid = np.linspace(spec.lo, spec.hi, o["grid_n"])

@@ -89,14 +89,6 @@ class RatioModel:
         return self.status in ("max_iter", "line_search_failed")
 
 
-def empirical_risk(loss: CompositeLoss, gram_matrix: np.ndarray, n_p: int,
-                   coeffs: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
-    """Penalized class-balanced risk and its gradient in the
-    coefficients; the first n_p points are P, the rest Q."""
-    value, u = _score_risk(loss, n_p, coeffs, gram_matrix @ coeffs, alpha)
-    return value, gram_matrix @ u
-
-
 def _score_risk(loss: CompositeLoss, n_p: int, coeffs: np.ndarray,
                 scores: np.ndarray, alpha: float) -> tuple[float, np.ndarray]:
     """Penalized risk at coefficients c with scores s = G c, and

@@ -2,7 +2,7 @@
 importance-weighted regression under covariate shift.
 
 These drivers back the fig1/fig2/fig3 CLI commands and the acceptance
-tests; they only use the public library API.
+tests; fig2 runs its replicate fits in forked workers (dre._run_jobs).
 """
 from __future__ import annotations
 
@@ -107,9 +107,9 @@ def figure2(seed: int = 0, sizes: Sequence[int] = (10, 100),
     return {"cells": cells, "grid": grid, "exact_beta": exact_beta(grid)}
 
 
-def figure3(seed: int = 0, n_src: int = 200, n_tgt: int = 200,
-            noise_sigma: float = 0.1, degree: int = 5, alpha: float = 1e-32,
-            quad_nodes: int = 2001, max_iter: int = 400, l2_nodes: int = 10001):
+def figure3(seed: int = 0, n_src: int = 200, noise_sigma: float = 0.1,
+            degree: int = 5, alpha: float = 1e-32, quad_nodes: int = 2001,
+            max_iter: int = 400, l2_nodes: int = 10001):
     """Importance-weighted polynomial regression under covariate shift.
 
     Labels exist on the source only: the fits see n_src noisy labels at
@@ -119,8 +119,7 @@ def figure3(seed: int = 0, n_src: int = 200, n_tgt: int = 200,
     """
     spec = default_pair()
     rng = Rng(seed)
-    task = regression_task(spec, n_src, n_tgt, noise_sigma, rng,
-                           name=f"fig3/{seed}")
+    task = regression_task(spec, n_src, noise_sigma, rng, name=f"fig3/{seed}")
     pop = {
         name: population_fit_parametric(builtin_generator(name), spec,
                                         quad_nodes=quad_nodes,

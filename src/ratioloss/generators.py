@@ -212,28 +212,6 @@ def divergence_discrete(gen: BregmanGenerator, pair: DiscretePair,
     return float(pair.q @ bregman_term(gen, pair.beta, betahat))
 
 
-def divergence_quadrature(gen: BregmanGenerator,
-                          beta_fn: ScalarMap,
-                          betahat_fn: ScalarMap,
-                          q_density: ScalarMap,
-                          interval: tuple[float, float],
-                          n_nodes: int = 2001) -> float:
-    """Continuous divergence on an interval by composite Simpson.
-
-    The integrand must be smooth on the interval for the quoted accuracy;
-    integrate piecewise-defined densities piece by piece.
-    """
-    lo, hi = interval
-
-    def integrand(xs):
-        q = np.asarray(q_density(xs), dtype=float)
-        if np.any(q < 0.0):
-            raise ValueError("q density must be nonnegative")
-        return q * bregman_term(gen, beta_fn(xs), betahat_fn(xs))
-
-    return integrate(integrand, lo, hi, n_nodes)
-
-
 def weight_representation(gen: BregmanGenerator, r: float, rhat: float,
                           n_nodes: int = 2001) -> float:
     """Pointwise divergence written as an integral over cutoff weights.
@@ -253,7 +231,7 @@ def weight_representation(gen: BregmanGenerator, r: float, rhat: float,
 def diamond_transform(phi01: ScalarMap,
                       phi01_d1: ScalarMap,
                       phi01_d2: ScalarMap,
-                      phi01_d3: Optional[ScalarMap] = None) -> BregmanGenerator:
+                      phi01_d3: ScalarMap) -> BregmanGenerator:
     """Lift a convex function on [0, 1) to a generator on [0, inf).
 
     The transform is z -> (1+z) * phi01(z / (1+z)).  Its Bregman
@@ -280,30 +258,10 @@ def diamond_transform(phi01: ScalarMap,
         z, u = inner(z)
         return phi01_d2(u) / (1.0 + z) ** 3
 
-    if phi01_d3 is not None:
-        def phi3(z):
-            z, u = inner(z)
-            return (phi01_d3(u) / (1.0 + z) ** 5
-                    - 3.0 * phi01_d2(u) / (1.0 + z) ** 4)
-    else:
-        def phi3(z):
-            # fall back to a central difference of phi2
-            z = np.asarray(z, dtype=float)
-            h = 1e-5 * np.maximum(1.0, np.abs(z))
-            return (phi2(z + h) - phi2(z - h)) / (2.0 * h)
+    def phi3(z):
+        z, u = inner(z)
+        return (phi01_d3(u) / (1.0 + z) ** 5
+                - 3.0 * phi01_d2(u) / (1.0 + z) ** 4)
 
     return BregmanGenerator(name="diamond", phi=phi, phi1=phi1,
                             phi2=phi2, phi3=phi3)
-
-
-def derivative_consistency(gen: BregmanGenerator, grid: np.ndarray) -> float:
-    """Max relative mismatch between central differences and the stored
-    derivatives, over the given grid.  Used by certification tests."""
-    grid = np.asarray(grid, dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(grid))
-    mismatch = []
-    for f, d in ((gen.phi, gen.phi1), (gen.phi1, gen.phi2), (gen.phi2, gen.phi3)):
-        num = (f(grid + h) - f(grid - h)) / (2.0 * h)
-        ana = d(grid)
-        mismatch.append(np.abs(num - ana) / np.maximum(1.0, np.abs(ana)))
-    return float(np.max(mismatch))  # NaN if any point is NaN

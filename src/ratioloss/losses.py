@@ -235,28 +235,6 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
     raise ValueError(f"unknown family {name!r}")
 
 
-def gamma_funcs(gen: BregmanGenerator, c1: float = 0.0,
-                c2: float = 0.0) -> tuple[ScalarMap, ScalarMap]:
-    """The concave potential gamma and its derivative on (0, 1).
-
-    gamma(eta) = -(1 - eta) phi(eta / (1 - eta)) + c2 eta + c1.  Used as
-    an independent oracle for the constructed losses: ell_pos(y) =
-    gamma(eta_hat) + (1 - eta_hat) gamma'(eta_hat) at eta_hat =
-    inv_link(y), and ell_neg analogously with -eta_hat gamma'.
-    """
-    def gamma(eta):
-        eta = np.asarray(eta, dtype=float)
-        x = eta / (1.0 - eta)
-        return -(1.0 - eta) * gen.phi(x) + c2 * eta + c1
-
-    def gamma1(eta):
-        eta = np.asarray(eta, dtype=float)
-        x = eta / (1.0 - eta)
-        return gen.phi(x) - (1.0 + x) * gen.phi1(x) + c2
-
-    return gamma, gamma1
-
-
 def conditional_risk(loss: CompositeLoss, eta: float, yhat) -> float:
     """CR(eta, yhat) = eta ell_pos(yhat) + (1 - eta) ell_neg(yhat)."""
     if not 0.0 <= eta <= 1.0:
@@ -336,31 +314,3 @@ def excess_risk_identity_check(loss: CompositeLoss, pair: DiscretePair,
     half_breg = 0.5 * divergence_discrete(loss.generator, pair,
                                           loss.ratio_map.g(f))
     return excess, half_breg
-
-
-def reid_convexity_margins(loss: CompositeLoss, etahat,
-                           h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Slacks of the link-space convexity condition at eta_hat in (0,1).
-
-    Uses the proper-loss weight w(eta) = lambda_neg'(eta)/eta with w'
-    taken by central differences, and requires
-        -1/eta <= w'/w - Psi''/Psi' <= 1/(1-eta).
-    Returns (lower slack, upper slack); both nonnegative iff the
-    condition holds.  Agrees with convexity_margin's verdict at
-    x = eta/(1-eta).
-    """
-    etahat = np.atleast_1d(np.asarray(etahat, dtype=float))
-    if np.any((etahat <= 0.0) | (etahat >= 1.0)):
-        raise ValueError("etahat must lie strictly inside (0, 1)")
-
-    def w(eta):
-        _, y, psi1 = _link_and_slope(loss, eta)
-        return loss.ell_neg1(y) * psi1 / eta
-
-    x, y, psi1 = _link_and_slope(loss, etahat)
-    psi2 = (loss.ratio_map.g_inv2(x) / (1.0 - etahat) ** 4
-            + 2.0 * loss.ratio_map.g_inv1(x) / (1.0 - etahat) ** 3)
-    w0 = loss.ell_neg1(y) * psi1 / etahat
-    w1 = (w(etahat + h) - w(etahat - h)) / (2.0 * h)
-    middle = w1 / w0 - psi2 / psi1
-    return middle + 1.0 / etahat, 1.0 / (1.0 - etahat) - middle

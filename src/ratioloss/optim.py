@@ -1,4 +1,5 @@
-"""Quasi-Newton minimization with inverse-Hessian BFGS updates.
+"""Unconstrained minimization by BFGS, and bound-constrained minimization
+by projected Newton.
 
 The objective protocol is a callable x -> (value, gradient).  Line
 search is Armijo backtracking from unit step; non-finite trial values
@@ -26,6 +27,10 @@ max_iter >= n, that is, for small problems.  The product H g is carried
 across iterations: after a step, one product gives H g_new, H y is its
 difference from the carried H g, and the update corrects H g_new in
 O(n).
+
+_projected_newton minimizes over x >= lower with the same objective
+protocol plus a Hessian callable; dre solves the dual of small
+canonical-link fits and the population fits with it.
 """
 from __future__ import annotations
 
@@ -387,14 +392,3 @@ def _projected_newton(obj: Objective, hess: Callable, x0, lower: Bound,
         iterations += 1
     return OptimResult(x_star=x, f_star=f, grad_norm=gnorm,
                        iterations=iterations, status=status)
-
-
-def grad_check(obj: Objective, x, h: float = 1e-6) -> float:
-    """Largest per-coordinate relative error between the analytic
-    gradient and central differences of the value."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(obj(x)[1], dtype=float)
-    num = np.array([(float(obj(x + e)[0]) - float(obj(x - e)[0])) / (2.0 * h)
-                    for e in h * np.eye(x.size)])
-    # np.max propagates NaN, so a NaN coordinate is reported, not dropped
-    return float(np.max(np.abs(g - num) / np.maximum(np.abs(num), 1e-8)))

@@ -164,20 +164,15 @@ def target_function(x) -> np.ndarray:
 class RegressionTask:
     src_xs: np.ndarray
     src_ys: np.ndarray
-    tgt_xs: np.ndarray
 
 
-def regression_task(spec: PiecewisePairSpec, n_src: int, n_tgt: int,
-                    noise_sigma: float, rng: Rng,
-                    name: str = "regression") -> RegressionTask:
+def regression_task(spec: PiecewisePairSpec, n_src: int, noise_sigma: float,
+                    rng: Rng, name: str = "regression") -> RegressionTask:
     """Inputs drawn from Q (source) with noisy observations of the target
-    function, and unlabelled inputs drawn from P (target).  ValueError
-    unless noise_sigma is finite and nonnegative."""
+    function.  ValueError unless noise_sigma is finite and nonnegative."""
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError("noise_sigma must be finite and nonnegative")
     src = sample_piecewise(spec, "q", n_src, rng, name=f"{name}/src")
-    tgt = sample_piecewise(spec, "p", n_tgt, rng, name=f"{name}/tgt")
     noise = rng.stream(f"{name}/noise-src/{n_src}").standard_normal(n_src)
     return RegressionTask(src_xs=src,
-                          src_ys=target_function(src) + noise_sigma * noise,
-                          tgt_xs=tgt)
+                          src_ys=target_function(src) + noise_sigma * noise)

@@ -44,7 +44,7 @@ F_SOFTPLUS = {"lr": 0.12160077399726046, "kulsif": 1.509463093188219,
 def test_population_fits_converge_at_their_defaults():
     # fig1's five fits and fig3's two (same defaults, small regression)
     fits = list(figure1()["fits"].items()) + list(figure3(
-        n_src=20, n_tgt=20, l2_nodes=101)["population_fits"].items())
+        n_src=20, l2_nodes=101)["population_fits"].items())
     assert len(fits) == 7
     for name, pf in fits:
         _assert_kkt(name, pf, 2001)
@@ -84,7 +84,7 @@ def test_figure2_replicates_differ():
 
 
 def test_figure3_reduced():
-    res = figure3(seed=0, n_src=60, n_tgt=60, quad_nodes=201,
+    res = figure3(seed=0, n_src=60, quad_nodes=201,
                   max_iter=150, l2_nodes=501)
     for key in ("uniform", "exact", "ew", "lr"):
         assert key in res["weightings"]
@@ -101,8 +101,7 @@ def test_l2_integral_of_constant_offset(monkeypatch):
     # each density integrates to one, so a target one below the "exact"
     # predictor gives it squared error one under P and Q, and a target
     # equal to it gives zero
-    kw = dict(seed=0, n_src=60, n_tgt=60, quad_nodes=201, max_iter=150,
-              l2_nodes=501)
+    kw = dict(seed=0, n_src=60, quad_nodes=201, max_iter=150, l2_nodes=501)
     predict = figure3(**kw)["predictors"]["exact"]
     for offset, expected, tol in ((1.0, 1.0, 1e-12), (0.0, 0.0, 1e-15)):
         monkeypatch.setattr(figures, "target_function",

@@ -8,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ratioloss import (FAMILY_NAMES, BregmanGenerator, DiscretePair,
-                       bregman_term, builtin_generator,
-                       derivative_consistency, diamond_transform,
-                       divergence_discrete, divergence_quadrature,
-                       weight_representation)
+                       bregman_term, builtin_generator, diamond_transform,
+                       divergence_discrete, weight_representation)
 from ratioloss.checks import CHECK_FAMILIES
 from ratioloss.figures import FIGURE1_FAMILIES
 from ratioloss.generators import parse_family
+
+from oracles import derivative_consistency
 
 
 # every builtin generator by its family label, poly at three exponents
@@ -126,22 +126,6 @@ def test_pointwise_term_nonnegative(r, rhat):
         assert val >= -1e-12
 
 
-def test_quadrature_divergence_matches_closed_form():
-    # kulsif against uniform q on [0, 1]: integral of (r - rhat)^2 / 2
-    # with r(x) = 1 + x and rhat(x) = 1 is integral of x^2/2 = 1/6
-    gen = builtin_generator("kulsif")
-    val = divergence_quadrature(gen, lambda x: 1.0 + x, np.ones_like,
-                                np.ones_like, (0.0, 1.0), n_nodes=201)
-    assert val == pytest.approx(1.0 / 6.0, abs=1e-12)
-
-
-def test_quadrature_rejects_negative_density():
-    gen = builtin_generator("kulsif")
-    with pytest.raises(ValueError):
-        divergence_quadrature(gen, lambda x: 1.0 + x, np.ones_like,
-                              lambda x: -np.ones_like(x), (0.0, 1.0), 51)
-
-
 def test_weight_representation_kulsif_case():
     # integral of |2 - c| over [1, 2] is 1/2, matching (r - rhat)^2 / 2
     gen = builtin_generator("kulsif")
@@ -171,25 +155,24 @@ def test_valid_pairs_construct_and_expose_beta(raw):
     assert np.allclose(pair.beta * q, p)
 
 
+def entropy_diamond():
+    """diamond_transform of the binary entropy, which is lr's generator."""
+    return diamond_transform(lambda u: u * np.log(u) + (1.0 - u) * np.log1p(-u),
+                             lambda u: np.log(u) - np.log1p(-u),
+                             lambda u: 1.0 / (u * (1.0 - u)),
+                             lambda u: 1.0 / (1.0 - u) ** 2 - 1.0 / u ** 2)
+
+
 def test_diamond_transform_edge_guard():
-    entropy = lambda u: u * np.log(u) + (1.0 - u) * np.log1p(-u)
-    d1 = lambda u: np.log(u) - np.log1p(-u)
-    d2 = lambda u: 1.0 / (u * (1.0 - u))
-    dia = diamond_transform(entropy, d1, d2)
     with pytest.raises(ValueError):
-        dia.phi(np.array(1e14))
+        entropy_diamond().phi(np.array(1e14))
 
 
-def test_diamond_fallback_third_derivative():
-    # without an analytic d3 the transform differentiates phi2 numerically
-    entropy = lambda u: u * np.log(u) + (1.0 - u) * np.log1p(-u)
-    d1 = lambda u: np.log(u) - np.log1p(-u)
-    d2 = lambda u: 1.0 / (u * (1.0 - u))
-    dia = diamond_transform(entropy, d1, d2)
+def test_diamond_third_derivative_matches_lr():
     lr = builtin_generator("lr")
     xs = np.linspace(0.3, 4.0, 11)
-    rel = np.abs(dia.phi3(xs) - lr.phi3(xs)) / np.maximum(np.abs(lr.phi3(xs)), 1e-12)
-    assert np.max(rel) < 1e-4
+    rel = np.abs(entropy_diamond().phi3(xs) - lr.phi3(xs)) / np.abs(lr.phi3(xs))
+    assert np.max(rel) < 1e-12
 
 
 def test_affine_shift_leaves_divergence_unchanged():

@@ -1,12 +1,15 @@
 """Every name a library module imports is used in that module, every
-private module-level name is used somewhere in the library, and every
-dataclass field is read somewhere."""
+private module-level name is used somewhere in the library, every
+exported name has a caller in the library, and every dataclass field is
+read somewhere."""
 from __future__ import annotations
 
 import ast
 import pathlib
 
 import pytest
+
+import ratioloss
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ratioloss"
@@ -44,17 +47,21 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def defined_names(node: ast.stmt) -> list:
+    """The functions, classes and constants a module-level statement
+    defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def private_definitions(source: str) -> list:
     """Module-level private functions, classes and constants."""
-    names = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [name for name in names if _private(name)]
+    return [name for node in ast.parse(source).body
+            for name in defined_names(node) if _private(name)]
 
 
 def referenced_names(sources) -> set:
@@ -135,3 +142,33 @@ def test_library_has_no_dead_fields():
     readers = [p.read_text() for top in ("src", "tests", "perfbench")
                for p in sorted((ROOT / top).rglob("*.py"))]
     assert dead_fields(sources, readers) == []
+
+
+def uncalled_exports(exported, sources) -> list:
+    """Names in exported that no source refers to.  A reference from the
+    module-level definition of an uncalled name does not count, so a
+    helper that only uncalled code calls is uncalled too."""
+    statements = [node for source in sources for node in ast.parse(source).body]
+    uncalled = set()
+    while True:
+        refs = referenced_names(ast.unparse(node) for node in statements
+                                if uncalled.isdisjoint(defined_names(node)))
+        found = {name for name in exported if name not in refs}
+        if found == uncalled:
+            return sorted(found)
+        uncalled = found
+
+
+def test_checker_flags_an_uncalled_export():
+    sources = ["def used():\n    return helper()\ndef helper():\n    pass\n"
+               "def dead():\n    return Gone()\nclass Gone:\n    pass\n",
+               "from .a import used\nused()\n"]
+    assert uncalled_exports(["used", "helper", "dead", "Gone"],
+                            sources) == ["Gone", "dead"]
+
+
+def test_every_export_has_a_caller_in_the_library():
+    """Each name in ratioloss.__all__ is referred to by a library module
+    other than __init__.py; a name only tests call belongs in tests/."""
+    assert uncalled_exports(ratioloss.__all__,
+                            [p.read_text() for p in MODULES]) == []

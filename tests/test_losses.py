@@ -11,9 +11,10 @@ from ratioloss import (CertificationError, DiscretePair, RatioMap,
                        bayes_risk, builtin_generator, canonical_ratio_map,
                        conditional_risk, construct_loss, convexity_margin,
                        excess_risk_identity_check, exp_ratio_map, family_loss,
-                       gamma_funcs, identity_ratio_map,
-                       reid_convexity_margins, shuford_weight)
+                       shuford_weight)
 from ratioloss.generators import parse_family
+
+from oracles import gamma_funcs, reid_convexity_margins
 
 FAMILIES = ["kulsif", "lr", "klest", "boost", "poly1", "poly6", "ew"]
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ratioloss import (KernelSpec, Rng, SampleSet, bfgs, default_pair, dre,
-                       empirical_risk, family_loss, fit, grad_check, gram,
-                       median_heuristic, optim, sample_piecewise)
+                       family_loss, fit, gram, median_heuristic, optim,
+                       sample_piecewise)
 from ratioloss.optim import (CURVATURE_FLOOR, OptimResult, _backtrack,
                              _projected_newton)
+
+from oracles import empirical_risk, grad_check
 
 
 def spd_objective(a, b):

@@ -106,10 +106,10 @@ def test_target_function_values():
 
 def test_regression_task_shapes_and_noise():
     spec = default_pair()
-    task = regression_task(spec, 30, 20, 0.0, Rng(1))
-    assert task.src_xs.shape == (30,) and task.tgt_xs.shape == (20,)
+    task = regression_task(spec, 30, 0.0, Rng(1))
+    assert task.src_xs.shape == (30,)
     assert np.array_equal(task.src_ys, target_function(task.src_xs))
-    noisy = regression_task(spec, 30, 20, 0.3, Rng(1))
+    noisy = regression_task(spec, 30, 0.3, Rng(1))
     assert np.array_equal(noisy.src_xs, task.src_xs)
     assert not np.array_equal(noisy.src_ys, task.src_ys)
 
@@ -117,7 +117,7 @@ def test_regression_task_shapes_and_noise():
 @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.5])
 def test_regression_task_refuses_bad_noise(noise):
     with pytest.raises(ValueError, match="noise_sigma"):
-        regression_task(default_pair(), 30, 20, noise, Rng(1))
+        regression_task(default_pair(), 30, noise, Rng(1))
 
 
 @given(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
