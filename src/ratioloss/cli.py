@@ -347,7 +347,8 @@ def cmd_fit(o: dict) -> int:
     _write_json(os.path.join(out, "metrics.json"), {
         "train_risk": model.train_risk, "status": model.status,
         "iterations": model.iterations, "grad_norm": model.grad_norm,
-        "solver": model.solver, "n": len(samples.xs_p),
+        "solver": model.solver, "f_evals": model.f_evals, "h0": model.h0,
+        "n": len(samples.xs_p),
         "m": len(samples.xs_q), "seed": o["seed"],
         "alpha": alpha, "cv_table": None if cv is None else cv.table,
         "cv_unconverged": None if cv is None else cv.unconverged,

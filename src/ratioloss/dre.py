@@ -32,12 +32,17 @@ from .synth import PiecewisePairSpec, Rng, piecewise_beta
 
 CLAMP_BUDGET = 0.05
 # fits with at most this many Q points solve their dual by projected
-# Newton (see fit): the largest m at which Newton was no slower than
-# BFGS for both ew and poly (k = 6) at alpha 0.1, measured on 2 CPUs
-# with OpenBLAS 0.3.31.  Above it, poly's steps meet many bounds and
-# each bound re-solves the block.  Fit workers solve with one BLAS
+# Newton (see fit), which converges where BFGS can stall at poly's kink;
+# above it, poly's steps meet many bounds, each re-solving the block.
+# Newton and BFGS take about as long for ew at m = 128 (README, "Why
+# 128"; 2 CPUs, OpenBLAS 0.3.31).  Fit workers solve with one BLAS
 # thread each (see _run_jobs)
 DUAL_NEWTON_MAX_Q = 128
+# BFGS fits with alpha at least this start their inverse Hessian from the
+# penalty's, (2 alpha G)^-1 (see optim.bfgs), smaller ones from the
+# identity: at alpha 1e-6, lr fits on the shifted-normal pair (n = m =
+# 50) ended line_search_failed from the penalty start
+PENALTY_START_MIN_ALPHA = 1e-4
 
 
 class FitError(RuntimeError):
@@ -79,6 +84,8 @@ class RatioModel:
     iterations: int = 0
     grad_norm: Optional[float] = None  # final |g|_inf of an iterative fit
     solver: str = ""  # "newton", "bfgs" or "closed_form": the one that ran
+    f_evals: Optional[int] = None  # objective evaluations of a bfgs fit
+    h0: Optional[str] = None  # a bfgs fit's final start: penalty | identity
 
     def scores(self, xs) -> np.ndarray:
         return gram_dot(self.kernel, xs, self.centers, self.coeffs)
@@ -199,7 +206,10 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     Q-block dual (_dual_risk) by projected Newton from beta = 1;
     max_iter caps the Newton steps, and grad_norm is the dual's
     projected gradient norm in score units.  "bfgs" runs from the zero
-    coefficient vector, and grad_norm is |G u|_inf.  Either way
+    coefficient vector, from the inverse Hessian (2 alpha G)^-1 when
+    alpha >= PENALTY_START_MIN_ALPHA, and grad_norm is |G u|_inf;
+    f_evals and h0 report its objective evaluations and final start
+    (optim.bfgs), None for "newton".  Either way
     train_risk is the penalized class-balanced risk at the returned
     coefficients.
 
@@ -233,7 +243,9 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
         # the risk is searched in score space: two Gram products per
         # iteration, none per rejected trial
         res = bfgs(obj, np.zeros(len(centers)), max_iter=max_iter,
-                   grad_tol=grad_tol, linear=g_matrix)
+                   grad_tol=grad_tol, linear=g_matrix,
+                   curvature=(2.0 * alpha if alpha >= PENALTY_START_MIN_ALPHA
+                              else None))
         coeffs = res.x_star
     # not the solver's value: BFGS forms that from its carried scores
     scores = g_matrix @ coeffs
@@ -241,7 +253,8 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
                        loss=loss,
                        train_risk=_risk(loss, n_p, coeffs, scores, alpha),
                        status=res.status, iterations=res.iterations,
-                       grad_norm=res.grad_norm, solver=solver)
+                       grad_norm=res.grad_norm, solver=solver,
+                       f_evals=res.f_evals, h0=res.h0)
     if clamp_budget is not None:
         frac = _clamped_fraction(loss, scores)
         if frac > clamp_budget:

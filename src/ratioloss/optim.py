@@ -20,13 +20,20 @@ The BFGS update (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 eq. 6.17) is the symmetric rank-2 step H -= s w' + w s', so the inverse
 Hessian is kept in the compact form of Byrd, Nocedal & Schnabel (Math.
 Prog. 63, 1994): H = D - S'W - W'S over the rows s, w of the updates
-applied since the last restart, with D the identity.  A product H v
-costs O(nk) for k held pairs and no n x n array exists.  Once n pairs
-are held they are folded into a dense D, which happens only when
-max_iter >= n, that is, for small problems.  The product H g is carried
-across iterations: after a step, one product gives H g_new, H y is its
-difference from the carried H g, and the update corrects H g_new in
-O(n).
+applied since the last restart.  A product H v costs O(nk) for k held
+pairs and no n x n array exists.  The start D is the identity, or, for
+a quadratic part of curvature mu in A, that part's inverse Hessian
+(mu A)^-1 (Nocedal & Wright, section 6.1), applied to g = A u as u/mu
+with no solve and no product: dre.fit passes mu = 2 alpha for its
+penalty alpha c'Gc at alpha >= dre.PENALTY_START_MIN_ALPHA.  A run
+that has to retry along the scaled gradient keeps the identity from
+then on; a restart after a non-descent direction goes back to D.  Once
+n pairs are held they are folded into a dense D, which happens only
+when max_iter >= n, that is, for small problems; from the penalty
+start, which has no dense form, the run restarts instead.  The product
+H g is carried across iterations: after a step, one product gives
+H g_new, H y is its difference from the carried H g, and the update
+corrects H g_new in O(n).
 
 _projected_newton minimizes over x >= lower with the same objective
 protocol plus a Hessian callable; dre solves the dual of small
@@ -35,7 +42,6 @@ canonical-link fits and the population fits with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -66,6 +72,8 @@ class OptimResult:
     grad_norm: float
     iterations: int
     status: str  # converged | max_iter | line_search_failed
+    f_evals: int | None = None  # objective evaluations of a bfgs run
+    h0: str | None = None  # bfgs's start at the end: penalty | identity
 
 
 def _backtrack(obj: Objective, x: np.ndarray, z: np.ndarray, f: float,
@@ -75,10 +83,11 @@ def _backtrack(obj: Objective, x: np.ndarray, z: np.ndarray, f: float,
     The trial at step t is the point (x + t p, z + t ap), for z = A x
     and ap = A p; obj maps it to (value, u) and grad(u) is the gradient,
     formed only for a trial that passes Armijo or needs the curvature
-    test.  Returns (point, f_new, g_new) for the first sufficient-decrease
-    step, or None when none exists.  A candidate whose displacement
-    rounds to zero ends the search at once: every shorter step rounds to
-    zero too, and accepting it would repeat the same point forever.
+    test.  Returns (point, f_new, u, g_new) for the first
+    sufficient-decrease step, or None when none exists.  A candidate
+    whose displacement rounds to zero ends the search at once: every
+    shorter step rounds to zero too, and accepting it would repeat the
+    same point forever.
     Once the Armijo threshold rounds back to f itself, the value has run
     out of resolution and cannot referee; acceptance then falls back to
     the weak curvature condition g_new'p >= sigma dd, guarded by a bound
@@ -99,47 +108,61 @@ def _backtrack(obj: Objective, x: np.ndarray, z: np.ndarray, f: float,
         if np.isfinite(f_new):
             threshold = f + ARMIJO_C * step * dd
             if f_new <= threshold:
-                return point, f_new, grad(out)
+                return point, f_new, out, grad(out)
             if (threshold == f
                     and f_new <= f + PLATEAU_SLACK * max(1.0, abs(f))):
                 gn = grad(out)
                 if np.all(np.isfinite(gn)) and float(gn @ p) >= WOLFE_SIGMA * dd:
-                    return point, f_new, gn
+                    return point, f_new, out, gn
         step *= ARMIJO_SHRINK
     return None
 
 
 class _InverseHessian:
-    """H = D - S'W - W'S, with D the identity until the first fold."""
+    """H = D - S'W - W'S, with D the start until the first fold: the
+    identity, or (mu A)^-1 for a curvature mu."""
 
-    def __init__(self, n: int, rows: int):
+    def __init__(self, n: int, rows: int, mu: float | None):
         self.s = np.empty((rows, n))
         self.w = np.empty((rows, n))
         self.k = 0  # pairs held
-        self.d = None  # dense D; None stands for the identity
+        self.d = None  # dense D; None stands for the start
+        self.mu = mu  # None for the identity start
 
-    def dot(self, v: np.ndarray) -> np.ndarray:
-        """H v, for a vector or a matrix v."""
-        out = v.copy() if self.d is None else self.d @ v
+    def dot(self, v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """H v, for a vector or a matrix v; u, with A u = v, is read
+        only from the penalty start."""
+        if self.d is not None:
+            out = self.d @ v
+        elif self.mu is None:
+            out = v.copy()
+        else:
+            out = u / self.mu
         if self.k:
             s, w = self.s[:self.k], self.w[:self.k]
             out -= s.T @ (w @ v) + w.T @ (s @ v)
         return out
 
-    def update(self, s: np.ndarray, w: np.ndarray) -> None:
-        """H -= s w' + w s'."""
+    def update(self, s: np.ndarray, w: np.ndarray) -> bool:
+        """H -= s w' + w s'; False when that left n pairs from the
+        penalty start, which has no dense form to fold them into, and
+        they were dropped instead: H is D again."""
         self.s[self.k] = s
         self.w[self.k] = w
         self.k += 1
         n = s.size
         if self.k == n:
+            if self.mu is not None:
+                _reset(self)
+                return False
             # n pairs cost as much as a dense matrix; fold them into D
             self.d = self.dot(np.eye(n))
             self.k = 0
+        return True
 
 
 def _reset(hinv: _InverseHessian) -> None:
-    """Make hinv the identity again, dropping its pairs and D."""
+    """Make hinv its start D again, dropping its pairs and any fold."""
     hinv.k = 0
     hinv.d = None
 
@@ -152,14 +175,16 @@ def _check_stopping(max_iter: int, grad_tol: float) -> None:
 
 
 def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
-         linear=None) -> OptimResult:
+         linear=None, curvature: float | None = None) -> OptimResult:
     """Minimize obj from x0.
 
     Without linear, obj maps x to (value, gradient).  With linear = A,
     a symmetric matrix, the objective is f(x) = F(x, A x): obj maps the
     pair (x, z) with z = A x to (F, u), and the gradient of f is A u.
     The scores z are carried along each search line rather than
-    recomputed, so rounding can make them drift from A x.
+    recomputed, so rounding can make them drift from A x.  A curvature
+    mu > 0 starts the inverse Hessian from (mu A)^-1 rather than the
+    identity (see the module docstring).
 
     Stops when the gradient infinity norm drops below grad_tol
     ("converged"), after max_iter accepted steps ("max_iter"), or when
@@ -167,36 +192,46 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
     -g / max(1, |g|_inf) ("line_search_failed").  The
     inverse-Hessian update is skipped whenever s'y <= 1e-10 |s||y|,
     keeping the approximation positive definite.  ValueError unless
-    max_iter >= 0 and grad_tol >= 0.
+    max_iter >= 0, grad_tol >= 0 and curvature is None or in (0, inf).
     """
     _check_stopping(max_iter, grad_tol)
+    if curvature is not None and not 0.0 < curvature < np.inf:
+        raise ValueError(f"need a curvature in (0, inf), got {curvature!r}")
     x = np.array(x0, dtype=float)
     if x.ndim != 1:
         raise ValueError("x0 must be a 1-d vector")
+    f_evals = 0
+
+    def evaluate(point):
+        nonlocal f_evals
+        f_evals += 1
+        if linear is not None:
+            return obj(point)
+        # a plain objective is the case A = I, where u is the gradient
+        value, grad = obj(point[0])
+        return value, np.asarray(grad, dtype=float)
+
     if linear is None:
-        # a plain objective is the case A = I
-        plain = obj
-        obj = lambda point: plain(point[0])
-        apply = partial(np.asarray, dtype=float)
+        apply = lambda v: v
     else:
         def apply(v):
             with np.errstate(over="ignore", invalid="ignore"):
                 return linear @ v
     z = apply(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f, out = obj((x, z))
+        f, u = evaluate((x, z))
     f = float(f)
-    g = apply(out)
+    g = apply(u)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise ValueError("objective is not finite at the starting point")
 
     def search(p, dd):
-        return _backtrack(obj, x, z, f, p, apply(p), dd, apply)
+        return _backtrack(evaluate, x, z, f, p, apply(p), dd, apply)
 
     n = x.size
     # every update is one accepted step, so at most max_iter are held
-    hinv = _InverseHessian(n, min(n, max_iter))
-    hg = g  # hinv @ g, carried across iterations
+    hinv = _InverseHessian(n, min(n, max_iter), curvature)
+    hg = hinv.dot(g, u)  # carried across iterations
     iterations = 0
 
     while True:
@@ -212,20 +247,26 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         dd = float(p @ g)
         restarted = False
         if dd >= 0.0:
-            # stale curvature made p non-descent; restart from steepest descent
+            # stale curvature made p non-descent; restart from D, or
+            # from steepest descent where D g is not descent either
             _reset(hinv)
-            hg = g
-            p = -g
-            dd = -float(g @ g)
+            hg = hinv.dot(g, u)
+            if float(hg @ g) <= 0.0:
+                hinv.mu = None
+                hg = g
+            p = -hg
+            dd = float(p @ g)
             restarted = True
 
         trial = search(p, dd)
-        if trial is None and (not restarted or gnorm > 1.0):
+        if trial is None and (not restarted or gnorm > 1.0
+                              or hinv.mu is not None):
             # a badly scaled direction can fail at every representable
             # step even though descent is still possible; retry once
             # along the gradient, scaled so the unit step moves no
-            # coordinate by more than 1
+            # coordinate by more than 1, and keep the identity start
             _reset(hinv)
+            hinv.mu = None
             hg = g
             p = -g / max(1.0, gnorm)
             dd = float(p @ g)
@@ -233,7 +274,7 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         if trial is None:
             status = "line_search_failed"
             break
-        (x_new, z_new), f_new, g_new = trial
+        (x_new, z_new), f_new, u_new, g_new = trial
 
         if not np.all(np.isfinite(g_new)):
             raise RuntimeError(
@@ -242,20 +283,23 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         s = x_new - x
         yv = g_new - g
         sy = float(s @ yv)
-        hg_new = hinv.dot(g_new)
+        hg_new = hinv.dot(g_new, u_new)
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             # hinv -= rho (s hy' + hy s') - rho^2 (y'hy + s'y) s s', written
             # as hinv -= s w' + w s' with hy = hinv @ y = hg_new - hg
             rho = 1.0 / sy
             hy = hg_new - hg
             w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
-            hinv.update(s, w)
-            hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
-        x, z, f, g, hg = x_new, z_new, f_new, g_new, hg_new
+            if hinv.update(s, w):
+                hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
+            else:
+                hg_new = hinv.dot(g_new, u_new)
+        x, z, f, g, u, hg = x_new, z_new, f_new, g_new, u_new, hg_new
         iterations += 1
 
     return OptimResult(x_star=x, f_star=f, grad_norm=gnorm,
-                       iterations=iterations, status=status)
+                       iterations=iterations, status=status, f_evals=f_evals,
+                       h0="identity" if hinv.mu is None else "penalty")
 
 
 def _held(x: np.ndarray, g: np.ndarray, lower: Bound) -> np.ndarray:

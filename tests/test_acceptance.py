@@ -5,7 +5,6 @@ pass/fail line per contract."""
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -529,6 +529,35 @@ def test_metrics_name_the_solver_that_ran(tmp_path, args, solver):
     assert metrics["solver"] == solver
 
 
+@pytest.mark.parametrize("args,h0", [
+    (["--family", "lr", "--alpha", "0.1"], "penalty"),
+    (["--family", "lr", "--alpha", "1e-5"], "identity"),
+    (["--family", "ew"], None),
+    (["--family", "kulsif", "--solver", "closed-form"], None),
+])
+def test_metrics_report_the_bfgs_start_and_objective_evaluations(
+        tmp_path, monkeypatch, args, h0):
+    # h0 is the start a BFGS fit ended on; Newton and the closed form
+    # report null for both keys
+    results = []
+
+    def spying_bfgs(obj, x0, **kwargs):
+        results.append(optim.bfgs(obj, x0, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dre, "bfgs", spying_bfgs)
+    out = tmp_path / "fit"
+    assert main(["fit", "--n", "20", "--m", "20", *args,
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["h0"] == h0
+    if h0 is None:
+        assert results == [] and metrics["f_evals"] is None
+    else:
+        assert metrics["f_evals"] == results[-1].f_evals > metrics[
+            "iterations"]
+
+
 @pytest.mark.parametrize("n,seed", [
     *((100, seed) for seed in (31, 139, 201, 203, 205, 272, 329, 336, 458,
                                465, 468, 512, 525, 533, 535, 599)),

@@ -1,6 +1,7 @@
 """Kernel density-ratio fitting: empirical risk, closed-form kulsif,
 cross-validation, and the parametric population fit."""
 import dataclasses
+import itertools
 import os
 import signal
 import subprocess
@@ -261,6 +262,89 @@ def test_solver_selection(monkeypatch):
                     kernel, alpha, max_iter=5, clamp_budget=None)
         assert used == [solver], (family, k, alpha, m)
         assert model.solver == solver, (family, k, alpha, m)
+
+
+def _fit_samples(n, m, seed, pair="piecewise"):
+    """The sample fit draws for --n n --m m --seed seed --pair pair."""
+    rng = Rng(seed)
+    if pair == "piecewise":
+        spec = default_pair()
+        return SampleSet(
+            xs_p=sample_piecewise(spec, "p", n, rng, name="cli/fit"),
+            xs_q=sample_piecewise(spec, "q", m, rng, name="cli/fit"))
+    sampler, _ = gaussian_pair()
+    return SampleSet(xs_p=sampler("p", n, rng, name="cli/fit"),
+                     xs_q=sampler("q", m, rng, name="cli/fit"))
+
+
+@pytest.mark.parametrize("n,m", [(60, 60), (90, 40)])
+@pytest.mark.parametrize("family,k", [
+    ("kulsif", 0.0), ("lr", 0.0), ("klest", 0.0), ("boost", 0.0),
+    ("ew", 0.0), ("poly", 6.0), ("poly", 1.0)])
+def test_penalty_start_converges_wherever_the_identity_start_does(
+        monkeypatch, family, k, n, m):
+    # every BFGS fit over alpha in {10, 0.1, 1e-3, 1e-4} and three seeds,
+    # first from the identity (the floor lifted to inf), then from the
+    # penalty's inverse Hessian: no fit is lost and none ends higher
+    monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew, poly by BFGS
+    loss = family_loss(family, k=k)
+    kernel = KernelSpec(kind="gaussian", sigma="median")
+    for alpha, seed in itertools.product((10.0, 0.1, 1e-3, 1e-4), range(3)):
+        s = _fit_samples(n, m, seed)
+        fits = []
+        for floor in (np.inf, dre.PENALTY_START_MIN_ALPHA):
+            monkeypatch.setattr(dre, "PENALTY_START_MIN_ALPHA", floor)
+            fits.append(fit(s, loss, kernel, alpha, max_iter=300,
+                            clamp_budget=None))
+        identity, penalty = fits
+        case = (alpha, seed, identity.status, penalty.status)
+        assert identity.h0 == "identity", case
+        if identity.status == "converged":
+            assert penalty.status == "converged", case
+        assert penalty.train_risk <= identity.train_risk + 1e-12 * max(
+            1.0, abs(identity.train_risk)), case
+
+
+def test_penalty_start_holds_on_a_rank_three_polynomial_gram():
+    # the unscaled start D = G^-1 diverged here, to |c| 1e50
+    model = fit(_fit_samples(100, 100, 1), family_loss("boost"),
+                KernelSpec(kind="polynomial", degree=2), 10.0, max_iter=300)
+    assert (model.status, model.h0) == ("converged", "penalty")
+    assert np.max(np.abs(model.coeffs)) < 1.0
+
+
+def test_fits_below_the_penalty_start_floor_start_from_the_identity(
+        monkeypatch):
+    # lr on the shifted-normal pair at n = m = 50: at alpha 1e-5, below
+    # PENALTY_START_MIN_ALPHA, seed 2 converges exactly as it did before
+    # the penalty start existed; with the floor lifted, seed 0 at alpha
+    # 1e-6 ends line_search_failed after 3 iterations, where the identity
+    # start converges
+    assert dre.PENALTY_START_MIN_ALPHA == 1e-4
+    loss = family_loss("lr")
+    kernel = KernelSpec(kind="gaussian", sigma="median")
+    kw = dict(max_iter=300, clamp_budget=None)
+    model = fit(_fit_samples(50, 50, 2, "gaussian"), loss, kernel, 1e-5, **kw)
+    assert (model.status, model.h0, model.iterations) == (
+        "converged", "identity", 169)
+    assert model.train_risk == 0.4435238901622787
+    s = _fit_samples(50, 50, 0, "gaussian")
+    assert fit(s, loss, kernel, 1e-6, **kw).status == "converged"
+    monkeypatch.setattr(dre, "PENALTY_START_MIN_ALPHA", 0.0)
+    assert fit(s, loss, kernel, 1e-6, **kw).status == (
+        "line_search_failed")
+
+
+def test_klest_falls_back_to_its_identity_trajectory():
+    # from zero scores klest's first search fails from either start; the
+    # scaled-gradient retry then keeps the identity, so the fit takes the
+    # iterations and reaches the risk it did from the identity start
+    model = fit(_fit_samples(100, 100, 0), family_loss("klest"),
+                KernelSpec(kind="gaussian", sigma="median"), 0.1,
+                max_iter=300)
+    assert (model.status, model.h0, model.iterations) == (
+        "converged", "identity", 127)
+    assert model.train_risk == 0.607578109784662
 
 
 def _canonical_lr():

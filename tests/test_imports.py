@@ -1,5 +1,5 @@
-"""Every name a library module imports is used in that module, every
-private module-level name is used somewhere in the library, every
+"""Every name a library or test module imports is used in that module,
+every private module-level name is used somewhere in the library, every
 exported name has a caller in the library, and every dataclass field is
 read somewhere."""
 from __future__ import annotations
@@ -14,6 +14,7 @@ import ratioloss
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ratioloss"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,6 +41,11 @@ def test_checker_flags_an_unused_name():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -106,16 +106,27 @@ def test_steep_start_retries_along_scaled_gradient():
     assert float(res.x_star[0]) == pytest.approx(1.0, abs=1e-8)
 
 
-def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
+def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8, start=None):
     """bfgs with the textbook dense update: two matvecs and three outer
-    products per iteration, a fresh identity on every restart.  Same
-    line search, curvature skip and restart policy as bfgs."""
+    products per iteration, a fresh start on every restart.  Same line
+    search, curvature skip and restart policy as bfgs.  start, when
+    given, maps x to D g(x) for the penalty start D; the dense matrix
+    then holds H - D, and n updates since the last restart, or the scaled
+    retry, restart it, the retry for good with the identity."""
     x = np.array(x0, dtype=float)
     f, g = obj(x)
     f = float(f)
     g = np.asarray(g, dtype=float)
     n = x.size
-    hinv = np.eye(n)
+
+    def fresh():
+        return np.eye(n) if start is None else np.zeros((n, n))
+
+    def h_dot(hinv, x, g):
+        return hinv @ g if start is None else hinv @ g + start(x)
+
+    hinv = fresh()
+    held = 0
     iterations = 0
     status = "max_iter"
     for _ in range(max_iter):
@@ -123,17 +134,23 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
         if gnorm < grad_tol:
             status = "converged"
             break
-        p = -hinv @ g
+        p = -h_dot(hinv, x, g)
         dd = float(p @ g)
         restarted = False
         if dd >= 0.0:
-            hinv = np.eye(n)
-            p = -g
-            dd = -float(g @ g)
+            hinv, held = fresh(), 0
+            p = -h_dot(hinv, x, g)
+            if float(p @ g) >= 0.0:
+                start = None
+                hinv = fresh()
+                p = -g
+            dd = float(p @ g)
             restarted = True
         trial = _backtrack(lambda pt: obj(pt[0]), x, x, f, p, p, dd, np.asarray)
-        if trial is None and (not restarted or gnorm > 1.0):
-            hinv = np.eye(n)
+        if trial is None and (not restarted or gnorm > 1.0
+                              or start is not None):
+            start = None
+            hinv, held = fresh(), 0
             p = -g / max(1.0, gnorm)
             dd = float(p @ g)
             trial = _backtrack(lambda pt: obj(pt[0]), x, x, f, p, p, dd,
@@ -141,7 +158,7 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
         if trial is None:
             status = "line_search_failed"
             break
-        (x_new, _), f_new, g_new = trial
+        (x_new, _), f_new, _, g_new = trial
         g_new = np.asarray(g_new, dtype=float)
         s = x_new - x
         yv = g_new - g
@@ -149,8 +166,13 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8):
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             rho = 1.0 / sy
             hy = hinv @ yv
+            if start is not None:
+                hy += start(x_new) - start(x)
             hinv -= rho * (np.outer(s, hy) + np.outer(hy, s))
             hinv += rho * rho * (float(yv @ hy) + sy) * np.outer(s, s)
+            held += 1
+            if held == n and start is not None:
+                hinv, held = fresh(), 0
         x, f, g = x_new, f_new, g_new
         iterations += 1
     else:
@@ -358,22 +380,31 @@ def test_kernel_fit_takes_two_gram_products_per_iteration(monkeypatch):
 @pytest.mark.parametrize("family,alpha", [("ew", 1e-2), ("kulsif", 1e-3)])
 def test_score_space_fit_matches_dense_reference(monkeypatch, family, alpha):
     # fit carries the scores along each line; reference_bfgs recomputes
-    # G c and G v at every trial of the same line search
+    # G c and G v at every trial of the same line search.  Both start
+    # from the penalty's inverse Hessian, D g = u / (2 alpha)
     monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew by BFGS
     s, kernel = _ew_samples()
     loss = family_loss(family)
     g = gram(kernel, s.pooled, s.pooled)
+
+    def start(c):
+        return dre._score_risk(loss, len(s.xs_p), c, g @ c, alpha)[1] / (
+            2.0 * alpha)
+
     ref = reference_bfgs(
         lambda c: empirical_risk(loss, g, len(s.xs_p), c, alpha),
-        np.zeros(60), max_iter=300)
+        np.zeros(60), max_iter=300, start=start)
     model = fit(s, loss, kernel, alpha, max_iter=300, clamp_budget=None)
     assert model.status == ref.status == "converged"
+    assert model.h0 == "penalty"
     assert model.train_risk == pytest.approx(ref.f_star, rel=1e-12)
 
 
-def test_carried_scores_stay_on_the_gram_image(monkeypatch):
-    # ew at alpha 1e-6 takes about 600 iterations; the scores carried
-    # through every accepted step still equal G c to rounding
+def _assert_scores_stay_on_the_gram_image(monkeypatch, loss, alpha, seed,
+                                          max_iter, h0):
+    """A BFGS fit of loss at alpha on _ew_samples(seed) runs at least 200
+    iterations, ending on start h0, and the scores carried through every
+    accepted step still equal G c to rounding."""
     points = []
 
     def recording_bfgs(obj, *args, **kwargs):
@@ -383,14 +414,31 @@ def test_carried_scores_stay_on_the_gram_image(monkeypatch):
         return optim.bfgs(recorded, *args, **kwargs)
 
     monkeypatch.setattr(dre, "bfgs", recording_bfgs)
-    monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew by BFGS
-    s, kernel = _ew_samples()
-    model = fit(s, family_loss("ew"), kernel, 1e-6, max_iter=1000)
+    monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew, poly by BFGS
+    s, kernel = _ew_samples(seed=seed)
+    model = fit(s, loss, kernel, alpha, max_iter=max_iter, clamp_budget=None)
     assert model.iterations >= 200
+    assert model.h0 == h0
     c, scores = points[-1]
     assert c is model.coeffs
     fresh = gram(kernel, s.pooled, s.pooled) @ c
     assert np.linalg.norm(scores - fresh) < 1e-12 * np.linalg.norm(fresh)
+
+
+def test_carried_scores_stay_on_the_gram_image(monkeypatch):
+    # ew at alpha 1e-6, below PENALTY_START_MIN_ALPHA, starts from the
+    # identity and takes about 600 iterations
+    _assert_scores_stay_on_the_gram_image(monkeypatch, family_loss("ew"),
+                                          1e-6, 0, 1000, "identity")
+
+
+def test_carried_scores_stay_on_the_gram_image_from_the_penalty_start(
+        monkeypatch):
+    # from the penalty start, ew at alpha 1e-6 would converge in under 100
+    # iterations; poly (k = 6) at alpha 1e-4 on seed 1 stalls at its kink
+    # and runs all 300
+    _assert_scores_stay_on_the_gram_image(
+        monkeypatch, family_loss("poly", k=6.0), 1e-4, 1, 300, "penalty")
 
 
 def test_fit_is_unchanged_by_an_objective_wrapper(monkeypatch):
@@ -426,6 +474,75 @@ def test_linear_objective_matches_the_plain_protocol():
     assert res.status == ref.status == "converged"
     assert res.iterations == ref.iterations
     assert np.allclose(res.x_star, b, atol=1e-8)
+    assert res.h0 == ref.h0 == "identity"
+    # the Hessian is A, so the penalty start (1 A)^-1 is exact: the unit
+    # step along -u lands on b
+    res = bfgs(linear, np.zeros(8), max_iter=200, grad_tol=1e-10, linear=a,
+               curvature=1.0)
+    assert (res.status, res.iterations, res.h0) == ("converged", 1, "penalty")
+    assert np.allclose(res.x_star, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0, np.inf, np.nan])
+def test_a_curvature_outside_zero_to_inf_is_refused(curvature):
+    with pytest.raises(ValueError, match="curvature in"):
+        bfgs(spd_objective(np.eye(2), np.ones(2)), np.zeros(2),
+             curvature=curvature)
+
+
+def _cosh_objective(a, t, mu):
+    """F(x, z) = sum cosh(z - t) + mu x'z/2 with z = A x, in both
+    protocols, and the penalty start's D g(x) = u(x) / mu."""
+    def linear(point):
+        x, z = point
+        return (float(np.sum(np.cosh(z - t))) + 0.5 * mu * float(x @ z),
+                np.sinh(z - t) + mu * x)
+
+    def plain(x):
+        value, u = linear((x, a @ x))
+        return value, a @ u
+
+    return plain, linear, lambda x: linear((x, a @ x))[1] / mu
+
+
+def test_penalty_start_restarts_where_the_identity_would_fold(monkeypatch):
+    # n = 3 and about 25 updates: with n pairs held the penalty start
+    # has no dense form to fold into, so the run restarts from D
+    a = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+    t = np.array([3.0, -2.0, 1.0])
+    plain, linear, start = _cosh_objective(a, t, 3.0)
+    restarts = []
+    update = optim._InverseHessian.update
+
+    def recording_update(hinv, s, w):
+        kept = update(hinv, s, w)
+        restarts.append(not kept)
+        assert hinv.d is None
+        return kept
+
+    monkeypatch.setattr(optim._InverseHessian, "update", recording_update)
+    res = bfgs(linear, np.zeros(3), max_iter=100, grad_tol=1e-10, linear=a,
+               curvature=3.0)
+    monkeypatch.undo()
+    assert (res.status, res.h0) == ("converged", "penalty")
+    assert sum(restarts) >= 1
+    ref = reference_bfgs(plain, np.zeros(3), max_iter=100, grad_tol=1e-10,
+                         start=start)
+    assert (res.status, res.iterations) == (ref.status, ref.iterations)
+    assert np.allclose(res.x_star, ref.x_star, rtol=1e-10, atol=1e-12)
+
+
+def test_f_evals_counts_every_objective_evaluation():
+    calls = []
+
+    def counted(x):
+        calls.append(None)
+        return _rosenbrock(x)
+
+    res = bfgs(counted, np.array([-1.2, 1.0]), max_iter=500, grad_tol=1e-10)
+    assert res.f_evals == len(calls) > res.iterations + 1
+    assert _projected_newton(counted, lambda x: np.eye(2), np.zeros(2),
+                             -np.inf).f_evals is None
 
 
 @pytest.mark.parametrize("max_iter,grad_tol", [(-1, 1e-8), (10, -1e-8),
