@@ -42,10 +42,11 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: str, obj) -> None:
+def _write_json(path: str, obj, indent=2) -> None:
+    # json.dumps without indent runs json's C encoder; json.dump never does
+    text = json.dumps(obj, sort_keys=True, indent=indent, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, columns: list) -> None:
@@ -343,7 +344,7 @@ def cmd_fit(o: dict) -> int:
         "kernel": {"kind": kernel.kind, "sigma": kernel.sigma,
                    "degree": kernel.degree, "offset": kernel.offset},
         "centers": model.centers, "coeffs": model.coeffs,
-    })
+    }, indent=None)  # the one output that grows with N
     _write_json(os.path.join(out, "metrics.json"), {
         "train_risk": model.train_risk, "status": model.status,
         "iterations": model.iterations, "grad_norm": model.grad_norm,

@@ -96,6 +96,29 @@ def test_fit_eval_roundtrip(tmp_path):
     assert ev["sup_abs_error"] >= 0.0
 
 
+def test_eval_reads_the_compact_model_back(tmp_path):
+    # model.json is one line, the other JSON outputs stay indented; an
+    # indented copy of the model evaluates to the same bytes
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--family", "lr", "--n", "30", "--m", "30",
+                 "--seed", "2", "--out", str(fit_dir)]) == 0
+    text = (fit_dir / "model.json").read_text()
+    model = json.loads(text)
+    assert text == json.dumps(model, sort_keys=True) + "\n"
+    assert set(model) == {"family", "k", "alpha", "kernel", "centers",
+                          "coeffs"}
+    assert (fit_dir / "metrics.json").read_text().startswith("{\n  ")
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(model, sort_keys=True, indent=2))
+    for name, path in (("compact", fit_dir / "model.json"),
+                       ("indented", indented)):
+        assert main(["eval", "--model", str(path), "--pair", "piecewise",
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("eval.json", "predictions.csv"):
+        assert ((tmp_path / "compact" / name).read_bytes()
+                == (tmp_path / "indented" / name).read_bytes())
+
+
 def test_eval_counts_capped_predictions(tmp_path):
     """eval.json's clamp_count is the number of capped beta_hat entries;
     model.json carries no clamp count."""
@@ -133,8 +156,8 @@ def test_eval_forms_no_gram_block_of_a_quarter_map(tmp_path, monkeypatch):
     model = _n2000_model(tmp_path / "model.json")
     shapes = []
     for mod in (kernels, dre):  # every binding a prediction might call
-        def spy(spec, x, y, inner=mod.gram):
-            k = inner(spec, x, y)
+        def spy(spec, x, y, out=None, inner=mod.gram):
+            k = inner(spec, x, y, out=out)
             shapes.append(k.shape)
             return k
         monkeypatch.setattr(mod, "gram", spy)
@@ -244,9 +267,9 @@ def test_cross_validation_resolves_the_median_sigma_once(tmp_path,
     # the final fit takes the folds' sigma instead of a second median
     calls = []
 
-    def spying_median(sq):
-        calls.append(len(sq))
-        return real_median(sq)
+    def spying_median(pts, square=None):
+        calls.append(len(pts))
+        return real_median(pts, square)
 
     real_median = kernels._median_sq_dist
     monkeypatch.setattr(kernels, "_median_sq_dist", spying_median)

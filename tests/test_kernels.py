@@ -97,6 +97,28 @@ def test_median_heuristic_frozen_case():
         median_gram([2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("point", [[1 / 3], [1 / 3, 2 / 3],
+                                   [1 / 3, 2 / 3, 1.0]])
+def test_coincident_points_are_refused_at_every_dimension(point):
+    # by cancellation, the product formula leaves 40 copies of the 2-d and
+    # 3-d points a median distance of 1.5e-8 and 2.1e-8; every point equal
+    # to the first is refused before any distance is formed
+    pts = np.tile(point, (40, 1))
+    with pytest.raises(ValueError, match="all points coincide"):
+        median_heuristic(pts)
+    with pytest.raises(ValueError, match="all points coincide"):
+        median_gram(pts)
+
+
+def test_mostly_coincident_1d_points_have_a_zero_median():
+    # 435 of the 528 pairs coincide; differences keep them exactly 0
+    pts = np.r_[np.full(30, 1.7), [0.0, 2.5, 9.0]]
+    for f in (median_heuristic, median_gram):
+        with pytest.raises(ValueError, match="median distance is zero"):
+            f(pts)
+    assert median_heuristic(pts[25:]) > 0.0  # 10 of 28 pairs coincide
+
+
 @given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=8, unique=True),
        st.floats(0.3, 3.0))
 def test_gaussian_gram_positive_semidefinite(xs, sigma):
@@ -105,19 +127,24 @@ def test_gaussian_gram_positive_semidefinite(xs, sigma):
     assert float(eigs.min()) > -1e-8
 
 
-def dense_gaussian_gram(sigma, x, y):
-    """The whole-matrix formula gram must reproduce bit for bit."""
+def dense_sq_dists(x, y):
+    """The whole-matrix squared distances: differences at d = 1, the
+    clipped product formula at d > 1."""
+    if x.shape[1] == 1:
+        return np.subtract.outer(x[:, 0], y[:, 0]) ** 2
     sq = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
           - 2.0 * (x @ y.T))
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * sigma ** 2))
+    return np.maximum(sq, 0.0)
+
+
+def dense_gaussian_gram(sigma, x, y):
+    """The whole-matrix formula gram must reproduce bit for bit."""
+    return np.exp(-dense_sq_dists(x, y) / (2.0 * sigma ** 2))
 
 
 def dense_median_heuristic(pts):
     """The whole-matrix formula median_heuristic must reproduce bit for bit."""
-    sq = (np.sum(pts ** 2, axis=1)[:, None] + np.sum(pts ** 2, axis=1)[None, :]
-          - 2.0 * (pts @ pts.T))
-    np.maximum(sq, 0.0, out=sq)
+    sq = dense_sq_dists(pts, pts)
     return float(np.median(np.sqrt(sq[np.triu_indices(len(pts), k=1)])))
 
 
@@ -186,13 +213,14 @@ def _peak_bytes(f, monkeypatch):
 
 def test_large_inputs_build_one_square_array(monkeypatch):
     # the dense formulas peak at about three n x n arrays; row blocks keep
-    # gram to its output, and median_heuristic and median_gram to one
-    # product plus the n(n-1)/2 pair buffer
+    # gram to its output, median_gram to its Gram, whose front half holds
+    # the n(n-1)/2 pair distances first, and the 1-d median_heuristic to
+    # the pair buffer
     n = 2000
     x = np.random.default_rng(0).standard_normal((n, 1))
     square = n * n * 8
-    assert _peak_bytes(lambda: median_heuristic(x), monkeypatch) < 2.0 * square
-    assert _peak_bytes(lambda: median_gram(x), monkeypatch) < 2.0 * square
+    assert _peak_bytes(lambda: median_heuristic(x), monkeypatch) < 0.6 * square
+    assert _peak_bytes(lambda: median_gram(x), monkeypatch) < 1.25 * square
     spec = KernelSpec(kind="gaussian", sigma=0.5)
     assert _peak_bytes(lambda: gram(spec, x, x), monkeypatch) < 1.25 * square
 
@@ -227,8 +255,8 @@ def _gram_blocks(monkeypatch):
     shapes = []
     inner = kernels.gram
 
-    def spy(spec, x, y):
-        k = inner(spec, x, y)
+    def spy(spec, x, y, out=None):
+        k = inner(spec, x, y, out=out)
         shapes.append(k.shape)
         return k
 
