@@ -38,11 +38,6 @@ CLAMP_BUDGET = 0.05
 # 128"; 2 CPUs, OpenBLAS 0.3.31).  Fit workers solve with one BLAS
 # thread each (see _run_jobs)
 DUAL_NEWTON_MAX_Q = 128
-# BFGS fits with alpha at least this start their inverse Hessian from the
-# penalty's, (2 alpha G)^-1 (see optim.bfgs), smaller ones from the
-# identity: at alpha 1e-6, lr fits on the shifted-normal pair (n = m =
-# 50) ended line_search_failed from the penalty start
-PENALTY_START_MIN_ALPHA = 1e-4
 
 
 class FitError(RuntimeError):
@@ -206,12 +201,12 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
     Q-block dual (_dual_risk) by projected Newton from beta = 1;
     max_iter caps the Newton steps, and grad_norm is the dual's
     projected gradient norm in score units.  "bfgs" runs from the zero
-    coefficient vector, from the inverse Hessian (2 alpha G)^-1 when
-    alpha >= PENALTY_START_MIN_ALPHA, and grad_norm is |G u|_inf;
-    f_evals and h0 report its objective evaluations and final start
-    (optim.bfgs), None for "newton".  Either way
-    train_risk is the penalized class-balanced risk at the returned
-    coefficients.
+    coefficient vector and starts its inverse Hessian from the
+    penalty's, (2 alpha G)^-1, at every alpha > 0 and from the identity
+    at alpha = 0; grad_norm is |G u|_inf, and f_evals and h0 report its
+    objective evaluations and final start (optim.bfgs), None for
+    "newton".  Either way train_risk is the penalized class-balanced
+    risk at the returned coefficients.
 
     A gaussian kernel with sigma MEDIAN gets the median heuristic over
     the pooled points, P first; the model holds the numeric sigma.
@@ -244,8 +239,7 @@ def fit(samples: SampleSet, loss: CompositeLoss, kernel: KernelSpec,
         # iteration, none per rejected trial
         res = bfgs(obj, np.zeros(len(centers)), max_iter=max_iter,
                    grad_tol=grad_tol, linear=g_matrix,
-                   curvature=(2.0 * alpha if alpha >= PENALTY_START_MIN_ALPHA
-                              else None))
+                   curvature=2.0 * alpha if alpha > 0 else None)
         coeffs = res.x_star
     # not the solver's value: BFGS forms that from its carried scores
     scores = g_matrix @ coeffs

@@ -28,8 +28,8 @@ MAPPED_BYTES = 1 << 22
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel description: 'gaussian' (needs a finite sigma > 0, or
-    MEDIAN) or 'polynomial' (needs integer degree >= 1; offset defaults
-    to 1)."""
+    MEDIAN) or 'polynomial' (needs integer degree >= 1 and a finite
+    offset, 1 by default)."""
 
     kind: str
     sigma: Union[float, str, None] = None
@@ -38,13 +38,17 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma != MEDIAN and not _positive_finite(self.sigma):
+            if self.sigma != MEDIAN and not (_finite(self.sigma)
+                                             and self.sigma > 0):
                 raise ValueError(
                     "gaussian kernel needs a finite sigma > 0 or 'median'")
         elif self.kind == "polynomial":
             if not (isinstance(self.degree, (int, np.integer))
                     and self.degree >= 1):
                 raise ValueError("polynomial kernel needs an integer degree >= 1")
+            if not _finite(self.offset):
+                raise ValueError("polynomial kernel needs a finite offset, "
+                                 f"got {self.offset!r}")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
@@ -54,10 +58,10 @@ class KernelSpec:
         return self.kind == "gaussian" and self.sigma == MEDIAN
 
 
-def _positive_finite(v) -> bool:
-    """0 < v < inf, and False for None, NaN or a non-number."""
+def _finite(v) -> bool:
+    """-inf < v < inf, and False for None, NaN or a non-number."""
     try:
-        return bool(0 < v < np.inf)
+        return bool(-np.inf < v < np.inf)
     except TypeError:
         return False
 

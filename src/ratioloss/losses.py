@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .generators import (DOMAIN_EPS, RATIO_CAP, BregmanGenerator,
+from .generators import (DOMAIN_EPS, BregmanGenerator,
                          DiscretePair, ScalarMap, builtin_generator,
                          divergence_discrete)
 
@@ -74,45 +74,14 @@ def exp_ratio_map(scale: float = 1.0) -> RatioMap:
     )
 
 
-def _newton_inverse(gen: BregmanGenerator) -> ScalarMap:
-    """Invert phi1 by bracketed, safeguarded Newton (fallback for
-    generators without a closed-form inverse)."""
-    eps = gen.domain_eps
-
-    def inv(y):
-        scalar = np.ndim(y) == 0
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        y = np.clip(y, gen.phi1(np.array(eps)), gen.phi1(np.array(RATIO_CAP)))
-        lo = np.full_like(y, eps)
-        hi = np.ones_like(y)
-        for _ in range(200):
-            grow = gen.phi1(hi) < y
-            if not np.any(grow):
-                break
-            hi[grow] *= 2.0
-        else:
-            raise RuntimeError("phi1 inversion: bracketing failed")
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            fx = gen.phi1(x) - y
-            lo = np.where(fx <= 0, x, lo)
-            hi = np.where(fx > 0, x, hi)
-            step = fx / gen.phi2(x)
-            cand = x - step
-            bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-            x = np.where(bad, 0.5 * (lo + hi), cand)
-            if np.max(np.abs(fx)) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
-                break
-        return float(x[0]) if scalar else x
-
-    return inv
-
-
 def canonical_ratio_map(gen: BregmanGenerator) -> RatioMap:
     """The canonical link for gen: scores live on the range of phi',
-    and g = (phi')^{-1}."""
-    g = gen.inverse_phi1 if gen.inverse_phi1 is not None else _newton_inverse(gen)
-    return RatioMap(g=g, g_inv=gen.phi1, g_inv1=gen.phi2, g_inv2=gen.phi3)
+    and g = (phi')^{-1}, gen's inverse_phi1.  ValueError naming gen when
+    it has none."""
+    if gen.inverse_phi1 is None:
+        raise ValueError(f"generator {gen.name!r} has no inverse_phi1")
+    return RatioMap(g=gen.inverse_phi1, g_inv=gen.phi1, g_inv1=gen.phi2,
+                    g_inv2=gen.phi3)
 
 
 @dataclass(frozen=True)
@@ -178,6 +147,8 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
 
     kulsif and klest score directly in ratio units (identity map), lr and
     boost use exponential links, poly and ew use their canonical links.
+    Partial losses whose composition loses digits are stated in closed
+    form: lr's and boost's, and klest's and ew's below the domain floor.
     ValueError for a non-finite k, whatever the family; only poly reads
     k, and it also refuses None, which parse_family gives the others.
     """
@@ -187,8 +158,13 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
         return construct_loss(builtin_generator("kulsif"), identity_ratio_map(),
                               c1, c2)
     if name == "lr":
-        return construct_loss(builtin_generator("lr"), exp_ratio_map(1.0),
-                              c1, c2)
+        # composed, ell_neg = log(1 + e^y) cancels to 0 from y ~ 36 and
+        # ell_pos is flat below the domain floor; the composed slopes
+        # stay, within 1e-12 of these values' on scores in [-60, 60]
+        return replace(
+            construct_loss(builtin_generator("lr"), exp_ratio_map(1.0), c1, c2),
+            ell_pos=lambda y: (c1 + c2) + np.logaddexp(0.0, np.negative(y)),
+            ell_neg=lambda y: c1 + np.logaddexp(0.0, y))
     if name == "klest":
         gen = builtin_generator("klest")
         loss = construct_loss(gen, identity_ratio_map(), c1, c2)
@@ -210,8 +186,15 @@ def family_loss(name: str, k: float | None = 0.0, c1: float = 0.0,
             ell_neg=lambda y: c1 + np.asarray(y, dtype=float),
             ell_neg1=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     if name == "boost":
-        return construct_loss(builtin_generator("boost"), exp_ratio_map(2.0),
-                              c1, c2)
+        # 2 e^-y and 2 e^y, the exponent capped as in exp_ratio_map:
+        # composed, ell_pos is flat below y = -13.8 while its slope grows
+        two_exp = lambda t: 2.0 * np.exp(np.minimum(t, 709.0))
+        return replace(
+            construct_loss(builtin_generator("boost"), exp_ratio_map(2.0),
+                           c1, c2),
+            ell_pos=lambda y: (c1 + c2) + two_exp(np.negative(y)),
+            ell_neg=lambda y: c1 + two_exp(y),
+            ell_pos1=lambda y: -two_exp(np.negative(y)), ell_neg1=two_exp)
     if name == "poly":
         gen = builtin_generator("poly", k=k)
         return construct_loss(gen, canonical_ratio_map(gen), c1, c2)

@@ -25,7 +25,7 @@ pairs and no n x n array exists.  The start D is the identity, or, for
 a quadratic part of curvature mu in A, that part's inverse Hessian
 (mu A)^-1 (Nocedal & Wright, section 6.1), applied to g = A u as u/mu
 with no solve and no product: dre.fit passes mu = 2 alpha for its
-penalty alpha c'Gc at alpha >= dre.PENALTY_START_MIN_ALPHA.  A run
+penalty alpha c'Gc at every alpha > 0, and no mu at alpha = 0.  A run
 that has to retry along the scaled gradient keeps the identity from
 then on; a restart after a non-descent direction goes back to D.  Once
 n pairs are held they are folded into a dense D, which happens only
@@ -184,7 +184,9 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
     The scores z are carried along each search line rather than
     recomputed, so rounding can make them drift from A x.  A curvature
     mu > 0 starts the inverse Hessian from (mu A)^-1 rather than the
-    identity (see the module docstring).
+    identity (see the module docstring); the result's h0 is "penalty"
+    for such a run, or "identity" without a curvature or once the run
+    has fallen back to the gradient, as after a failed search.
 
     Stops when the gradient infinity norm drops below grad_tol
     ("converged"), after max_iter accepted steps ("max_iter"), or when

@@ -429,11 +429,15 @@ def test_unconverged_fit_warns_and_exits_zero(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"warning: fit ended {metrics['status']} after "
         f"{metrics['iterations']} iterations\n")
-    assert main(["fit", "--family", "kulsif", "--n", "5", "--m", "5",
-                 "--out", str(out)]) == 0
-    assert json.loads((out / "metrics.json").read_text())["status"] == (
-        "converged")
-    assert capsys.readouterr().err == ""
+    # ew at alpha 1e-5 and n = m = 200 ended max_iter after 300
+    # iterations from the identity start, and converges from the penalty's
+    for args in (["--family", "kulsif", "--n", "5", "--m", "5"],
+                 ["--family", "ew", "--alpha", "1e-5", "--n", "200",
+                  "--m", "200"]):
+        assert main(["fit", *args, "--out", str(out)]) == 0
+        assert json.loads((out / "metrics.json").read_text())["status"] == (
+            "converged")
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("n_seeds", ["0", "-1"])
@@ -499,6 +503,8 @@ def test_config_integer_options_take_integers_and_integer_strings(tmp_path):
      "expected a number, got False"),
     ("fit", {"sigma": [1.0]}, "expected a number, got [1.0]"),
     ("fig2", {"alphas": [0.01, True]}, "expected a number, got True"),
+    ("fit", {"offset": float("nan"), "kernel": "polynomial"},
+     "polynomial kernel needs a finite offset, got nan"),
 ])
 def test_config_float_options_refuse_bools(tmp_path, capsys, command,
                                            config, err):
@@ -554,14 +560,14 @@ def test_metrics_name_the_solver_that_ran(tmp_path, args, solver):
 
 @pytest.mark.parametrize("args,h0", [
     (["--family", "lr", "--alpha", "0.1"], "penalty"),
-    (["--family", "lr", "--alpha", "1e-5"], "identity"),
+    (["--family", "ew", "--alpha", "0"], "identity"),
     (["--family", "ew"], None),
     (["--family", "kulsif", "--solver", "closed-form"], None),
 ])
 def test_metrics_report_the_bfgs_start_and_objective_evaluations(
         tmp_path, monkeypatch, args, h0):
-    # h0 is the start a BFGS fit ended on; Newton and the closed form
-    # report null for both keys
+    # h0 is the start a BFGS fit ended on, the identity only at alpha 0
+    # here; Newton and the closed form report null for both keys
     results = []
 
     def spying_bfgs(obj, x0, **kwargs):
@@ -660,6 +666,16 @@ def test_eval_model_file_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "z")]) == 1
     assert capsys.readouterr().err == (
         "error: polynomial kernel needs an integer degree >= 1\n")
+    # and so is a non-finite offset, before --out exists
+    for offset in (float("nan"), float("inf")):
+        bad.write_text(json.dumps(dict(good, kernel={
+            "kind": "polynomial", "sigma": None, "degree": 2,
+            "offset": offset})))
+        assert main(["eval", "--model", str(bad),
+                     "--out", str(tmp_path / "z")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: polynomial kernel needs a finite offset, got {offset}\n")
+    assert not (tmp_path / "z").exists()
 
 
 def test_write_json_bytes(tmp_path):
@@ -828,11 +844,18 @@ def test_non_finite_or_negative_noise_is_a_usage_error(tmp_path, capsys,
      "k must be finite, got inf"),
     (["fit", "--family", "poly", "--k", "nan", "--n", "10", "--m", "10"],
      "k must be finite, got nan"),
+    (["fit", "--family", "lr", "--kernel", "polynomial", "--offset", "nan",
+      "--n", "10", "--m", "10"],
+     "polynomial kernel needs a finite offset, got nan"),
+    (["fit", "--family", "lr", "--kernel", "polynomial", "--offset", "inf",
+      "--n", "10", "--m", "10"],
+     "polynomial kernel needs a finite offset, got inf"),
 ])
 def test_non_finite_k_c1_or_c2_is_a_usage_error(tmp_path, capsys, args,
                                                  error):
-    # each used to run to NaN or Infinity outputs, or, for poly k nan, to
-    # fail with an error that did not name --k
+    # each used to run to NaN or Infinity outputs, or, for poly k nan and
+    # a non-finite offset, to fail with an error that did not name the
+    # option
     out = tmp_path / "x"
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"

@@ -277,26 +277,29 @@ def _fit_samples(n, m, seed, pair="piecewise"):
                      xs_q=sampler("q", m, rng, name="cli/fit"))
 
 
-@pytest.mark.parametrize("n,m", [(60, 60), (90, 40)])
+@pytest.mark.parametrize("pair,n,m,alphas", [
+    ("piecewise", 60, 60, (10.0, 0.1, 1e-3, 1e-4)),
+    ("piecewise", 90, 40, (10.0, 0.1, 1e-3, 1e-4)),
+    ("gaussian", 50, 50, (1e-5, 1e-6, 1e-8))],
+    ids=["60-60", "90-40", "gaussian-50-50"])
 @pytest.mark.parametrize("family,k", [
     ("kulsif", 0.0), ("lr", 0.0), ("klest", 0.0), ("boost", 0.0),
     ("ew", 0.0), ("poly", 6.0), ("poly", 1.0)])
 def test_penalty_start_converges_wherever_the_identity_start_does(
-        monkeypatch, family, k, n, m):
-    # every BFGS fit over alpha in {10, 0.1, 1e-3, 1e-4} and three seeds,
-    # first from the identity (the floor lifted to inf), then from the
-    # penalty's inverse Hessian: no fit is lost and none ends higher
+        monkeypatch, identity_start, family, k, pair, n, m, alphas):
+    # every BFGS fit over alphas and three seeds, first from the identity,
+    # then from the penalty's inverse Hessian: no fit is lost and none
+    # ends higher
     monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew, poly by BFGS
     loss = family_loss(family, k=k)
     kernel = KernelSpec(kind="gaussian", sigma="median")
-    for alpha, seed in itertools.product((10.0, 0.1, 1e-3, 1e-4), range(3)):
-        s = _fit_samples(n, m, seed)
-        fits = []
-        for floor in (np.inf, dre.PENALTY_START_MIN_ALPHA):
-            monkeypatch.setattr(dre, "PENALTY_START_MIN_ALPHA", floor)
-            fits.append(fit(s, loss, kernel, alpha, max_iter=300,
-                            clamp_budget=None))
-        identity, penalty = fits
+    for alpha, seed in itertools.product(alphas, range(3)):
+        s = _fit_samples(n, m, seed, pair)
+        with identity_start():
+            identity = fit(s, loss, kernel, alpha, max_iter=300,
+                           clamp_budget=None)
+        penalty = fit(s, loss, kernel, alpha, max_iter=300,
+                      clamp_budget=None)
         case = (alpha, seed, identity.status, penalty.status)
         assert identity.h0 == "identity", case
         if identity.status == "converged":
@@ -313,26 +316,23 @@ def test_penalty_start_holds_on_a_rank_three_polynomial_gram():
     assert np.max(np.abs(model.coeffs)) < 1.0
 
 
-def test_fits_below_the_penalty_start_floor_start_from_the_identity(
-        monkeypatch):
-    # lr on the shifted-normal pair at n = m = 50: at alpha 1e-5, below
-    # PENALTY_START_MIN_ALPHA, seed 2 converges exactly as it did before
-    # the penalty start existed; with the floor lifted, seed 0 at alpha
-    # 1e-6 ends line_search_failed after 3 iterations, where the identity
-    # start converges
-    assert dre.PENALTY_START_MIN_ALPHA == 1e-4
+def test_lr_converges_from_the_penalty_start_at_a_tiny_alpha(
+        identity_start):
+    # lr on the shifted-normal pair at n = m = 50, seed 0, alpha 1e-6:
+    # while lr's ell_neg was composed, and cancelled to 0 at large
+    # scores, the penalty start ended line_search_failed after 3
+    # iterations here, so such fits started from the identity
+    s = _fit_samples(50, 50, 0, "gaussian")
     loss = family_loss("lr")
     kernel = KernelSpec(kind="gaussian", sigma="median")
     kw = dict(max_iter=300, clamp_budget=None)
-    model = fit(_fit_samples(50, 50, 2, "gaussian"), loss, kernel, 1e-5, **kw)
-    assert (model.status, model.h0, model.iterations) == (
-        "converged", "identity", 169)
-    assert model.train_risk == 0.4435238901622837
-    s = _fit_samples(50, 50, 0, "gaussian")
-    assert fit(s, loss, kernel, 1e-6, **kw).status == "converged"
-    monkeypatch.setattr(dre, "PENALTY_START_MIN_ALPHA", 0.0)
-    assert fit(s, loss, kernel, 1e-6, **kw).status == (
-        "line_search_failed")
+    model = fit(s, loss, kernel, 1e-6, **kw)
+    with identity_start():
+        identity = fit(s, loss, kernel, 1e-6, **kw)
+    assert (model.status, model.h0) == ("converged", "penalty")
+    assert (identity.status, identity.h0) == ("converged", "identity")
+    assert model.iterations < identity.iterations
+    assert model.train_risk <= identity.train_risk + 1e-12
 
 
 def test_klest_falls_back_to_its_identity_trajectory():

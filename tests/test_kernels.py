@@ -23,6 +23,9 @@ def test_kernel_spec_validation():
     for degree in (2.5, 3.0, "3"):  # an integer degree, not one truncated
         with pytest.raises(ValueError):
             KernelSpec(kind="polynomial", degree=degree)
+    for offset in (float("nan"), float("inf"), -float("inf"), None):
+        with pytest.raises(ValueError, match="needs a finite offset"):
+            KernelSpec(kind="polynomial", degree=2, offset=offset)
     with pytest.raises(ValueError):
         KernelSpec(kind="laplace", sigma=1.0)
 

@@ -1,4 +1,5 @@
 """BFGS and projected Newton minimizers and gradient checker."""
+import contextlib
 import itertools
 import tracemalloc
 
@@ -401,10 +402,12 @@ def test_score_space_fit_matches_dense_reference(monkeypatch, family, alpha):
 
 
 def _assert_scores_stay_on_the_gram_image(monkeypatch, loss, alpha, seed,
-                                          max_iter, h0):
-    """A BFGS fit of loss at alpha on _ew_samples(seed) runs at least 200
-    iterations, ending on start h0, and the scores carried through every
-    accepted step still equal G c to rounding."""
+                                          max_iter, h0,
+                                          start=contextlib.nullcontext):
+    """A BFGS fit of loss at alpha on _ew_samples(seed), run in the
+    context start(), takes at least 200 iterations, ending on start h0,
+    and the scores carried through every accepted step still equal G c
+    to rounding."""
     points = []
 
     def recording_bfgs(obj, *args, **kwargs):
@@ -416,7 +419,9 @@ def _assert_scores_stay_on_the_gram_image(monkeypatch, loss, alpha, seed,
     monkeypatch.setattr(dre, "bfgs", recording_bfgs)
     monkeypatch.setattr(dre, "DUAL_NEWTON_MAX_Q", 0)  # ew, poly by BFGS
     s, kernel = _ew_samples(seed=seed)
-    model = fit(s, loss, kernel, alpha, max_iter=max_iter, clamp_budget=None)
+    with start():
+        model = fit(s, loss, kernel, alpha, max_iter=max_iter,
+                    clamp_budget=None)
     assert model.iterations >= 200
     assert model.h0 == h0
     c, scores = points[-1]
@@ -425,11 +430,11 @@ def _assert_scores_stay_on_the_gram_image(monkeypatch, loss, alpha, seed,
     assert np.linalg.norm(scores - fresh) < 1e-12 * np.linalg.norm(fresh)
 
 
-def test_carried_scores_stay_on_the_gram_image(monkeypatch):
-    # ew at alpha 1e-6, below PENALTY_START_MIN_ALPHA, starts from the
-    # identity and takes about 600 iterations
+def test_carried_scores_stay_on_the_gram_image(monkeypatch, identity_start):
+    # ew at alpha 1e-6 takes about 600 iterations from the identity
     _assert_scores_stay_on_the_gram_image(monkeypatch, family_loss("ew"),
-                                          1e-6, 0, 1000, "identity")
+                                          1e-6, 0, 1000, "identity",
+                                          identity_start)
 
 
 def test_carried_scores_stay_on_the_gram_image_from_the_penalty_start(
