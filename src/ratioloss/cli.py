@@ -49,6 +49,10 @@ def _write_json(path: str, obj, indent=2) -> None:
         fh.write(text + "\n")
 
 
+# _write_csv formats this many rows at a time
+CSV_ROWS = 512
+
+
 def _write_csv(path: str, columns: list) -> None:
     """columns: (name, values) pairs in order; names may repeat."""
     cols = [np.asarray(c, dtype=float) for _, c in columns]
@@ -56,8 +60,10 @@ def _write_csv(path: str, columns: list) -> None:
         raise ValueError("csv columns have unequal lengths")
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        # repr of each column's python floats, CSV_ROWS rows at a time
+        for i in range(0, len(cols[0]) if cols else 0, CSV_ROWS):
+            cells = [map(repr, c[i:i + CSV_ROWS].tolist()) for c in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _load_points(path: str) -> np.ndarray:
@@ -209,13 +215,20 @@ SCHEMAS: dict = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Optional[list] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every command has its subparser, but when argv
+    starts with a command, only that one gets its options: argparse
+    hands the rest of argv to that subparser alone, so the others are
+    never read."""
     parser = argparse.ArgumentParser(
         prog="ratioloss",
         description="Bregman-divergence losses and density ratio estimation")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in SCHEMAS else None
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command)
+        if named not in (None, command):
+            continue
         p.add_argument("--config", default=None,
                        help="flat JSON file with option values")
         for dest, (_conv, default, help_text) in schema.items():
@@ -496,7 +509,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -3,8 +3,12 @@
 A gaussian Gram is formed in one pass of DIST_ROWS-row blocks, each
 block's squared distances scaled and exponentiated while it is in cache.
 At d = 1 they are differences (x_i - y_j)^2; at d > 1 they are fixed up
-from the whole product x @ y.T.  median_gram first forms the 1-d pair
-distances of the median heuristic in the front of the Gram's own array.
+from the whole product x @ y.T.  Over MEDIAN_SAMPLE 1-d points, the
+median heuristic forms only some of the n(n-1)/2 pair distances: on
+the sorted points it counts, per row, the pairs below a bracket set by
+a strided sample, in O(n log n), and partitions the pairs within it,
+about 2 / MEDIAN_SAMPLE of them.  median_gram works in the front of
+the Gram's own array.
 """
 from __future__ import annotations
 
@@ -23,6 +27,9 @@ MEDIAN = "median"
 DIST_ROWS = 64
 # a work array of at least this many bytes gets a memory map of its own
 MAPPED_BYTES = 1 << 22
+# the 1-d median heuristic over more points than this brackets its middle
+# ranks with a strided sample of about this many of them
+MEDIAN_SAMPLE = 256
 
 
 @dataclass(frozen=True)
@@ -175,19 +182,138 @@ def gram_dot(spec: KernelSpec, x, y, coeffs) -> np.ndarray:
     return out[0] if c.ndim == 1 else out.T
 
 
+def _work(square: Optional[np.ndarray], size: int) -> np.ndarray:
+    """size floats of work: the front of square if given, else _empty."""
+    return _empty(size) if square is None else square.reshape(-1)[:size]
+
+
+def _square_ranks(s: np.ndarray, ranks: list, work: np.ndarray) -> list:
+    """|s_j - s_i| at ranks (ascending) among the pairs i < j of the 1-d
+    points s, from the whole square fl(s_j - s_i) in work's first n^2
+    entries.
+
+    The square holds each pair's difference once as is and once negated,
+    exactly, and n zeros on its diagonal, so rank r among the pairs is
+    rank n(n-1)/2 + n + r of the square, up to the sign of a zero.
+    """
+    n = len(s)
+    square = work[:n * n]
+    np.subtract.outer(s, s, out=square.reshape(n, n))
+    low = n * (n - 1) // 2 + n
+    square.partition([low + r for r in ranks])
+    return [abs(float(square[low + r])) for r in ranks]
+
+
+def _row_ends(s: np.ndarray, t: float, inside) -> np.ndarray:
+    """For each i, the first j > i at which inside(fl(s_j - s_i), t)
+    fails, for sorted 1-d points s and inside np.less or np.less_equal.
+
+    For each i the differences grow with j also as they round, so inside
+    holds on a run of j from i + 1.  searchsorted places s_i + t as that
+    rounds, which can fall on the wrong side of a rounded difference; the
+    row's end then moves over whole runs of equal points until it agrees.
+    """
+    n = len(s)
+    first = np.arange(1, n + 1)
+    end = np.searchsorted(s, s + t, "left" if inside is np.less else "right")
+    np.maximum(end, first, out=end)
+    while True:
+        back = np.flatnonzero((end > first) & ~inside(s[end - 1] - s, t))
+        if not len(back):
+            break
+        end[back] = np.maximum(np.searchsorted(s, s[end[back] - 1], "left"),
+                               first[back])
+    while True:
+        ahead = np.flatnonzero(
+            (end < n) & inside(s[np.minimum(end, n - 1)] - s, t))
+        if not len(ahead):
+            return end
+        end[ahead] = np.searchsorted(s, s[end[ahead]], "right")
+
+
+def _row_diffs(s: np.ndarray, start: np.ndarray, stop: np.ndarray,
+               work: np.ndarray) -> np.ndarray:
+    """The differences fl(s_j - s_i) for j in [start_i, stop_i), row by
+    row, in the front third of work; the other two thirds, viewed as
+    int64, hold each difference's j and i while they are formed."""
+    c = len(work) // 3
+    diffs, cols, rows = (work[:c], work[c:2 * c].view(np.int64),
+                         work[2 * c:].view(np.int64))
+    counts = stop - start
+    held = np.flatnonzero(counts)
+    at = np.cumsum(counts[held]) - counts[held]  # where each row begins
+    # j and i step by 1 and 0 within a row, and jump where one begins
+    cols.fill(1)
+    cols[at] = start[held] - np.concatenate(([0], stop[held][:-1] - 1))
+    np.cumsum(cols, out=cols)
+    rows.fill(0)
+    rows[at] = np.diff(held, prepend=0)
+    np.cumsum(rows, out=rows)
+    # mode="clip" lets take write to out without a buffer of its own
+    np.take(s, cols, out=diffs, mode="clip")
+    diffs -= np.take(s, rows, out=cols.view(float), mode="clip")
+    return diffs
+
+
+def _pair_diff_ranks(s: np.ndarray, ranks: list, square=None) -> list:
+    """|s_j - s_i| at ranks (ascending) among the pairs i < j of the
+    sorted 1-d points s, with _work(square, ...) as work space.
+
+    Over MEDIAN_SAMPLE points, a strided sample of about MEDIAN_SAMPLE
+    of them, m, brackets the ranks first: its pair differences at the
+    same share of its pairs, widened by m / 2 ranks each way.  For each
+    i the j whose differences fall below the bracket and within it are
+    counted with searchsorted, and only those within it are formed and
+    partitioned, about 2/m of the pairs.  Should the bracket miss a
+    rank, or hold more pairs than the work space has room for, every
+    pair is ranked: as exact, only slower.  Up to MEDIAN_SAMPLE points,
+    the sample would be s itself, and every pair is ranked at once.
+    """
+    n = len(s)
+    stride = -(-n // MEDIAN_SAMPLE)
+    if stride > 1:
+        size = n * (n - 1) // 2
+        sample = s[stride // 2::stride]
+        m = len(sample)
+        pairs = m * (m - 1) // 2
+        lo, hi = _square_ranks(
+            sample, [max(ranks[0] * pairs // size - m // 2, 0),
+                     min(ranks[-1] * pairs // size + m // 2, pairs - 1)],
+            _work(square, m * m))
+        first = np.arange(1, n + 1)
+        start = _row_ends(s, lo, np.less)
+        stop = _row_ends(s, hi, np.less_equal)
+        below = int(np.sum(start - first))
+        held = int(np.sum(stop - start))
+        # the held differences with their j and i, 3 floats each, must
+        # fit in the n^2 floats of work that ranking every pair takes
+        if (below <= ranks[0] and ranks[-1] < below + held
+                and 3 * held <= n * n):
+            diffs = _row_diffs(s, start, stop, _work(square, 3 * held))
+            diffs.partition([r - below for r in ranks])
+            return [float(diffs[r - below]) for r in ranks]
+    return _square_ranks(s, ranks, _work(square, n * n))
+
+
 def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
     """(sigma, blocks): the median pairwise distance over pairs i < j of
     points pts, and the row blocks of square, an n x n work array, as
     _sq_dists fills them.
 
-    At d = 1 the n(n-1)/2 squared pair distances are differences, formed
-    in the front of square if given, else in a buffer of their own, and
-    the blocks are formed only when iterated.  At d > 1 the blocks are
-    formed first, in square or a new array, and their strict upper
-    triangle is copied into a pair buffer.  The pairs are partitioned
-    once around the middle; the lower middle of an even count is the
-    largest entry before it.  Only the middle values are square-rooted:
-    sqrt is monotone, so this is the median of the distances.
+    At d = 1 the middle ranks of the n(n-1)/2 differences |x_i - x_j|
+    are selected on the sorted points (_pair_diff_ranks), with the front
+    of square as work space if given, and the blocks are formed only
+    when iterated.  Squaring is monotone, also as it rounds, so the
+    squared middle differences are the middle squared distances.  At
+    d > 1 the blocks are formed first, in square or a new array, and
+    their strict upper triangle is copied into a pair buffer and
+    partitioned at the middle ranks.  There a pair's squared distance
+    below (d + 2) eps (|x_i|^2 + |x_j|^2), eps the float64 machine
+    epsilon, counts as 0: the product formula |x_i|^2 + |x_j|^2 - 2
+    x_i'x_j can leave that much of a zero by cancellation.  The lower
+    middle of an even count is the rank below the middle.  Only the
+    middle values are square-rooted: sqrt is monotone, so this is the
+    median of the distances.
     """
     n = len(pts)
     if n < 2:
@@ -195,27 +321,26 @@ def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
     if np.all(pts == pts[0]):
         raise ValueError("all points coincide; median distance is zero")
     size = n * (n - 1) // 2
-    one_d = pts.shape[1] == 1
-    if one_d:
-        pairs = _empty(size) if square is None else square.reshape(-1)[:size]
+    mid = size // 2
+    ranks = [mid] if size % 2 else [mid - 1, mid]
+    if pts.shape[1] == 1:
+        middle = np.square(
+            _pair_diff_ranks(np.sort(pts[:, 0]), ranks, square))
         blocks = _sq_dists(pts, pts, square)
     else:
         square = _empty((n, n)) if square is None else square
         blocks = list(_sq_dists(pts, pts, square))
         pairs = _empty(size)
-    start = 0
-    for j in range(n - 1):
-        seg = pairs[start:start + n - j - 1]
-        if one_d:
-            np.subtract(pts[j + 1:, 0], pts[j, 0], out=seg)
-        else:
+        noise = (np.sum(pts ** 2, axis=1)
+                 * ((pts.shape[1] + 2) * np.finfo(float).eps))
+        start = 0
+        for j in range(n - 1):
+            seg = pairs[start:start + n - j - 1]
             seg[:] = square[j, j + 1:]
-        start += n - j - 1
-    if one_d:
-        np.square(pairs, out=pairs)
-    mid = len(pairs) // 2
-    pairs.partition(mid)
-    middle = [pairs[mid]] if len(pairs) % 2 else [pairs[:mid].max(), pairs[mid]]
+            np.copyto(seg, 0.0, where=seg < noise[j] + noise[j + 1:])
+            start += n - j - 1
+        pairs.partition(ranks)
+        middle = pairs[ranks]
     med = float(np.median(np.sqrt(middle)))
     if med <= 0.0:
         raise ValueError("median distance is zero: most pairs coincide")
@@ -232,7 +357,10 @@ def median_gram(points) -> tuple[float, np.ndarray]:
     Gram at that sigma, in one n x n array.
 
     Equal bit for bit to median_heuristic(points) followed by
-    gram(KernelSpec("gaussian", sigma), points, points).
+    gram(KernelSpec("gaussian", sigma), points, points).  The Gram's
+    array is the median's work space first: at d = 1 its front holds
+    the bracketed pair differences, or every pair's at up to
+    MEDIAN_SAMPLE points, and at d > 1 the squared distances.
     """
     pts = as_points(points)
     k = _empty((len(pts), len(pts)))

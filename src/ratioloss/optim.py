@@ -11,10 +11,11 @@ as a kernel risk whose scores are G c, search in score space: bfgs
 carries z = A x, forms A p once per search direction and evaluates each
 trial at (x + t p, z + t A p) in O(n).  The gradient A u is formed only
 for an accepted trial, or for a trial that needs the plateau test.  A
-run therefore costs two products with A at the start and about two per
-iteration (one more for a scaled-gradient retry), however many trials
-are rejected.  A plain objective is the case A = I: it is adapted once
-to take the pair (x, x), and its gradient is u itself.
+run therefore costs two products with A at the start (one from x = 0,
+where z = 0) and about two per iteration (one more for a
+scaled-gradient retry), however many trials are rejected.  A plain
+objective is the case A = I: it is adapted once to take the pair
+(x, x), and its gradient is u itself.
 
 The BFGS update (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 eq. 6.17) is the symmetric rank-2 step H -= s w' + w s', so the inverse
@@ -219,7 +220,9 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         def apply(v):
             with np.errstate(over="ignore", invalid="ignore"):
                 return linear @ v
-    z = apply(x)
+    # A 0 is +0 wherever A is finite, and a non-finite A still fails at
+    # the gradient below, so a zero start forms no product
+    z = apply(x) if linear is None or x.any() else np.zeros(x.size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, u = evaluate((x, z))
     f = float(f)

@@ -50,6 +50,40 @@ def test_help_exits_cleanly():
     assert main(["fit", "--help"]) == 0
 
 
+def test_csv_cells_are_the_repr_of_each_float(tmp_path):
+    # written a chunk of rows at a time, cut inside the columns
+    rng = np.random.default_rng(0)
+    a = np.r_[rng.standard_normal(cli.CSV_ROWS + 7), -0.0, 5e-324, 1e300]
+    b = np.arange(len(a))
+    cli._write_csv(str(tmp_path / "t.csv"), [("a", a), ("a", b)])
+    rows = "".join(f"{float(u)!r},{float(v)!r}\n" for u, v in zip(a, b))
+    assert (tmp_path / "t.csv").read_text() == "a,a\n" + rows
+
+
+def _parse(parser, argv, capsys):
+    """(exit code or namespace, stdout, stderr) of parser on argv."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["no-such-command"], ["--bogus"], ["-h", "fit"],
+    *([command, *rest] for command in cli.SCHEMAS
+      for rest in ([], ["--help"], ["-h"], ["--bogus"], ["--out"],
+                   ["--out", "x", "extra"], ["--config", "c.json"]))],
+    ids=lambda argv: " ".join(argv) or "no-args")
+def test_a_parser_for_one_command_prints_as_the_whole_parser(argv, capsys):
+    # only the named command gets its options; help, usage errors and
+    # the parsed options stay those of the parser with every command
+    whole = _parse(cli._build_parser(), argv, capsys)
+    assert _parse(cli._build_parser(argv), argv, capsys) == whole
+    assert whole[1] or whole[2] or isinstance(whole[0], dict)
+
+
 def test_loss_show_outputs(tmp_path):
     out = tmp_path / "ls"
     assert main(["loss-show", "--family", "kulsif", "--out", str(out)]) == 0

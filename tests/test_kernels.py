@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratioloss import (MEDIAN, KernelSpec, as_points, gram, gram_dot,
@@ -122,6 +122,100 @@ def test_mostly_coincident_1d_points_have_a_zero_median():
     assert median_heuristic(pts[25:]) > 0.0  # 10 of 28 pairs coincide
 
 
+def test_median_within_rounding_of_zero_is_zero_at_every_dimension():
+    # 465 of the 528 pairs coincide; the product formula leaves them
+    # about 1e-16 where differences leave 0, which used to give a median
+    # distance of 2.1e-8 at d = 3
+    pts = np.r_[np.tile([1 / 3, 2 / 3, 1.0], (30, 1)),
+                [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [5.0, 1.0, 2.0]]]
+    for x in (pts, pts[:, :2], pts[:, :1]):
+        for f in (median_heuristic, median_gram):
+            with pytest.raises(ValueError, match="median distance is zero"):
+                f(x)
+
+
+def _square_ranks_calls(monkeypatch, bracket=None):
+    """The point counts of the squares kernels ranks while the test runs;
+    with bracket, the first square ranks that many of its smallest (> 0)
+    or largest (< 0) pairs instead of the ranks it is asked for."""
+    counts = []
+    inner = kernels._square_ranks
+
+    def spy(s, ranks, work):
+        counts.append(len(s))
+        if bracket is not None and len(counts) == 1:
+            pairs = len(s) * (len(s) - 1) // 2
+            ranks = (range(bracket) if bracket > 0
+                     else range(pairs + bracket, pairs))
+        return inner(s, list(ranks), work)
+
+    monkeypatch.setattr(kernels, "_square_ranks", spy)
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=12),
+       st.integers(2, 700), st.sampled_from([0.0, 1e-13, 1e-7, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_1d_median_equals_the_dense_oracle(values, n, spread, seed):
+    # few values drawn many times: duplicates, mixed signs, and spreads
+    # down to below an ulp of the values, where differences round most
+    rng = np.random.default_rng(seed)
+    x = (rng.choice(values, n) + spread * rng.standard_normal(n))[:, None]
+    expected = dense_median_heuristic(x)
+    if expected <= 0.0:
+        with pytest.raises(ValueError):
+            median_heuristic(x)
+        return
+    assert median_heuristic(x) == expected
+    med, k = median_gram(x)
+    assert med == expected
+    assert np.array_equal(k, dense_gaussian_gram(med, x, x))
+
+
+@pytest.mark.parametrize("inside", [np.less, np.less_equal])
+def test_row_ends_follow_the_differences_as_they_round(inside):
+    # the bracket ends are differences of the points, so s_i + t often
+    # rounds to the other side of a point than s_j - s_i does of t
+    rng = np.random.default_rng(0)
+    side = "left" if inside is np.less else "right"
+    misplaced = 0
+    for scale in 10.0 ** np.arange(-3, 3):
+        s = np.sort(rng.uniform(0.0, scale, 300))
+        s[100:140] = s[100]  # a run of equal points
+        diffs = np.subtract.outer(s, s).T  # [i, j] = fl(s_j - s_i)
+        upper = np.triu(np.ones(diffs.shape, bool), 1)
+        for t in np.abs(rng.choice(s, 50) - rng.choice(s, 50)):
+            want = np.arange(1, 301) + np.sum(inside(diffs, t) & upper, 1)
+            assert np.array_equal(kernels._row_ends(s, t, inside), want)
+            naive = np.searchsorted(s, s + t, side)
+            misplaced += np.any(np.maximum(naive, np.arange(1, 301)) != want)
+    assert misplaced > 0  # rounding moved some row ends
+
+
+def test_a_bracket_too_wide_for_its_work_ranks_every_pair(monkeypatch):
+    # two equal clusters: the sample's bracket spans both pair distances,
+    # 0 and 1, so it holds every pair, and the whole square is ranked
+    x = np.r_[np.zeros(150), np.ones(151)][:, None]
+    counts = _square_ranks_calls(monkeypatch)
+    assert median_heuristic(x) == dense_median_heuristic(x) == 1.0
+    assert counts == [150, 301]
+
+
+@pytest.mark.parametrize("bracket", [2, -2])
+def test_a_bracket_that_misses_ranks_every_pair(monkeypatch, bracket):
+    # a strided sample brackets the middle ranks with a margin that no
+    # sample tried here exceeded, so the bracket is forced to the
+    # sample's two smallest or two largest pair distances, where it
+    # misses the middle ranks from below or from above
+    x = np.random.default_rng(4).standard_normal((1000, 1))
+    counts = _square_ranks_calls(monkeypatch, bracket)
+    med, k = median_gram(x)
+    assert med == dense_median_heuristic(x)
+    assert np.array_equal(k, dense_gaussian_gram(med, x, x))
+    assert counts == [250, 1000]
+
+
 @given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=8, unique=True),
        st.floats(0.3, 3.0))
 def test_gaussian_gram_positive_semidefinite(xs, sigma):
@@ -134,28 +228,35 @@ def dense_sq_dists(x, y):
     """The whole-matrix squared distances: differences at d = 1, the
     clipped product formula at d > 1."""
     if x.shape[1] == 1:
-        return np.subtract.outer(x[:, 0], y[:, 0]) ** 2
+        diffs = np.subtract.outer(x[:, 0], y[:, 0])
+        return np.square(diffs, out=diffs)
     sq = (np.sum(x ** 2, axis=1)[:, None] + np.sum(y ** 2, axis=1)[None, :]
           - 2.0 * (x @ y.T))
     return np.maximum(sq, 0.0)
 
 
 def dense_gaussian_gram(sigma, x, y):
-    """The whole-matrix formula gram must reproduce bit for bit."""
-    return np.exp(-dense_sq_dists(x, y) / (2.0 * sigma ** 2))
+    """The whole-matrix formula gram must reproduce bit for bit, in place
+    to spare memory: exp(-sq / (2 sigma^2)) rounds the same out of place."""
+    sq = dense_sq_dists(x, y)
+    np.negative(sq, out=sq)
+    np.divide(sq, 2.0 * sigma ** 2, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def dense_median_heuristic(pts):
     """The whole-matrix formula median_heuristic must reproduce bit for bit."""
     sq = dense_sq_dists(pts, pts)
-    return float(np.median(np.sqrt(sq[np.triu_indices(len(pts), k=1)])))
+    return float(np.median(np.sqrt(sq[np.triu(np.ones(sq.shape, bool), 1)])))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", [2, 3, 4, 63, 64, 65, 333])
+@pytest.mark.parametrize("n, d", [(n, d) for d in (1, 2, 3)
+                                  for n in (2, 3, 4, 63, 64, 65, 333)]
+                         + [(257, 1), (2000, 1), (4000, 1)])
 def test_row_blocks_match_dense_formulas_bit_for_bit(n, d):
-    # pair counts n(n-1)/2: 1, 3 and 1953 are odd; 6, 2016, 2080 and
-    # 55278 are even
+    # pair counts n(n-1)/2: 1, 3, 1953 and 1999000 are odd; 6, 2016,
+    # 2080, 55278, 32896 and 7998000 are even; from 257 1-d points on,
+    # the median is selected within a bracket
     rng = np.random.default_rng(100 * n + d)
     x = rng.standard_normal((n, d)) * 3.0
     x[: n // 4] = np.round(x[: n // 4], 1)  # repeated distances
@@ -216,13 +317,13 @@ def _peak_bytes(f, monkeypatch):
 
 def test_large_inputs_build_one_square_array(monkeypatch):
     # the dense formulas peak at about three n x n arrays; row blocks keep
-    # gram to its output, median_gram to its Gram, whose front half holds
-    # the n(n-1)/2 pair distances first, and the 1-d median_heuristic to
-    # the pair buffer
+    # gram to its output and median_gram to its Gram, whose front holds
+    # the 1-d median's work first; the 1-d median_heuristic forms only
+    # the bracketed differences and a sample's square, O(n) at this n
     n = 2000
     x = np.random.default_rng(0).standard_normal((n, 1))
     square = n * n * 8
-    assert _peak_bytes(lambda: median_heuristic(x), monkeypatch) < 0.6 * square
+    assert _peak_bytes(lambda: median_heuristic(x), monkeypatch) < 0.05 * square
     assert _peak_bytes(lambda: median_gram(x), monkeypatch) < 1.25 * square
     spec = KernelSpec(kind="gaussian", sigma=0.5)
     assert _peak_bytes(lambda: gram(spec, x, x), monkeypatch) < 1.25 * square
