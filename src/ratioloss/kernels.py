@@ -6,9 +6,9 @@ At d = 1 they are differences (x_i - y_j)^2; at d > 1 they are fixed up
 from the whole product x @ y.T.  Over MEDIAN_SAMPLE 1-d points, the
 median heuristic forms only some of the n(n-1)/2 pair distances: on
 the sorted points it counts, per row, the pairs below a bracket set by
-a strided sample, in O(n log n), and partitions the pairs within it,
-about 2 / MEDIAN_SAMPLE of them.  median_gram works in the front of
-the Gram's own array.
+a strided sample and at its ends, in O(n log n), and partitions the
+pairs strictly within it, about 2 / MEDIAN_SAMPLE of them.  median_gram
+works in the front of the Gram's own array.
 """
 from __future__ import annotations
 
@@ -187,6 +187,18 @@ def _work(square: Optional[np.ndarray], size: int) -> np.ndarray:
     return _empty(size) if square is None else square.reshape(-1)[:size]
 
 
+def _select(a: np.ndarray, ranks: list) -> list:
+    """The values of the 1-d array a at ranks (ascending); a is
+    reordered.  One partition per rank, from the highest down, each over
+    the values below the one before: numpy partitions at one rank
+    several times faster than at several at once."""
+    top = len(a)
+    for r in reversed(ranks):
+        a[:top].partition(r)
+        top = r
+    return [float(a[r]) for r in ranks]
+
+
 def _square_ranks(s: np.ndarray, ranks: list, work: np.ndarray) -> list:
     """|s_j - s_i| at ranks (ascending) among the pairs i < j of the 1-d
     points s, from the whole square fl(s_j - s_i) in work's first n^2
@@ -200,8 +212,7 @@ def _square_ranks(s: np.ndarray, ranks: list, work: np.ndarray) -> list:
     square = work[:n * n]
     np.subtract.outer(s, s, out=square.reshape(n, n))
     low = n * (n - 1) // 2 + n
-    square.partition([low + r for r in ranks])
-    return [abs(float(square[low + r])) for r in ranks]
+    return [abs(v) for v in _select(square, [low + r for r in ranks])]
 
 
 def _row_ends(s: np.ndarray, t: float, inside) -> np.ndarray:
@@ -260,38 +271,50 @@ def _pair_diff_ranks(s: np.ndarray, ranks: list, square=None) -> list:
     sorted 1-d points s, with _work(square, ...) as work space.
 
     Over MEDIAN_SAMPLE points, a strided sample of about MEDIAN_SAMPLE
-    of them, m, brackets the ranks first: its pair differences at the
-    same share of its pairs, widened by m / 2 ranks each way.  For each
-    i the j whose differences fall below the bracket and within it are
-    counted with searchsorted, and only those within it are formed and
-    partitioned, about 2/m of the pairs.  Should the bracket miss a
-    rank, or hold more pairs than the work space has room for, every
-    pair is ranked: as exact, only slower.  Up to MEDIAN_SAMPLE points,
-    the sample would be s itself, and every pair is ranked at once.
+    of them, m, brackets the ranks first: its pair differences lo and
+    hi at the same share of its square, widened by m / 2 ranks each way.
+    For each i the j whose differences fall below lo, at lo, strictly
+    between and at hi are counted with searchsorted.  A rank among the
+    pairs at lo or at hi is that end; only the pairs strictly between
+    are formed and partitioned, about 2/m of them, so ties at the ends
+    are never formed.  Should the bracket miss a rank, or hold more
+    pairs than the work space has room for, every pair is ranked: as
+    exact, only slower.  Up to MEDIAN_SAMPLE points, the sample would be
+    s itself, and every pair is ranked at once.
     """
     n = len(s)
     stride = -(-n // MEDIAN_SAMPLE)
     if stride > 1:
-        size = n * (n - 1) // 2
         sample = s[stride // 2::stride]
         m = len(sample)
-        pairs = m * (m - 1) // 2
+        # rank r among the pairs is the share (2r + n) / n^2 of the
+        # whole square fl(s_j - s_i), diagonal included: the sample's
+        # square at that share ranks the same differences without the
+        # bias of the diagonal, which is larger in the smaller square
+        near = [((2 * r + n) * m * m // (n * n) - m) // 2
+                for r in (ranks[0], ranks[-1])]
         lo, hi = _square_ranks(
-            sample, [max(ranks[0] * pairs // size - m // 2, 0),
-                     min(ranks[-1] * pairs // size + m // 2, pairs - 1)],
+            sample, [max(near[0] - m // 2, 0),
+                     min(near[1] + m // 2, m * (m - 1) // 2 - 1)],
             _work(square, m * m))
         first = np.arange(1, n + 1)
-        start = _row_ends(s, lo, np.less)
-        stop = _row_ends(s, hi, np.less_equal)
-        below = int(np.sum(start - first))
-        held = int(np.sum(stop - start))
+        start = _row_ends(s, lo, np.less_equal)
+        stop = _row_ends(s, hi, np.less)
+        # the pairs below lo, up to lo, below hi and up to hi
+        below, to_lo, below_hi, to_hi = (
+            int(np.sum(ends - first)) for ends in (
+                _row_ends(s, lo, np.less), start, stop,
+                _row_ends(s, hi, np.less_equal)))
+        held = below_hi - to_lo
         # the held differences with their j and i, 3 floats each, must
         # fit in the n^2 floats of work that ranking every pair takes
-        if (below <= ranks[0] and ranks[-1] < below + held
-                and 3 * held <= n * n):
-            diffs = _row_diffs(s, start, stop, _work(square, 3 * held))
-            diffs.partition([r - below for r in ranks])
-            return [float(diffs[r - below]) for r in ranks]
+        if below <= ranks[0] and ranks[-1] < to_hi and 3 * held <= n * n:
+            inner = [r - to_lo for r in ranks if to_lo <= r < below_hi]
+            formed = dict(zip(inner, _select(
+                _row_diffs(s, start, stop, _work(square, 3 * held)),
+                inner))) if inner else {}
+            return [lo if r < to_lo else hi if r >= below_hi
+                    else formed[r - to_lo] for r in ranks]
     return _square_ranks(s, ranks, _work(square, n * n))
 
 
@@ -307,11 +330,13 @@ def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
     squared middle differences are the middle squared distances.  At
     d > 1 the blocks are formed first, in square or a new array, and
     their strict upper triangle is copied into a pair buffer and
-    partitioned at the middle ranks.  There a pair's squared distance
-    below (d + 2) eps (|x_i|^2 + |x_j|^2), eps the float64 machine
-    epsilon, counts as 0: the product formula |x_i|^2 + |x_j|^2 - 2
-    x_i'x_j can leave that much of a zero by cancellation.  The lower
-    middle of an even count is the rank below the middle.  Only the
+    partitioned at the middle ranks.  The product formula |x_i|^2 +
+    |x_j|^2 - 2 x_i'x_j can leave up to (d + 2) eps (|x_i|^2 + |x_j|^2),
+    eps the float64 machine epsilon, of a zero by cancellation: when
+    more than half of the pairs lie below that bound, each its own, the
+    median counts as 0.  Otherwise the middle values are kept as they
+    are, so a pair below its bound moves no rank.  The lower middle of
+    an even count is the rank below the middle.  Only the
     middle values are square-rooted: sqrt is monotone, so this is the
     median of the distances.
     """
@@ -331,16 +356,21 @@ def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
         square = _empty((n, n)) if square is None else square
         blocks = list(_sq_dists(pts, pts, square))
         pairs = _empty(size)
-        noise = (np.sum(pts ** 2, axis=1)
-                 * ((pts.shape[1] + 2) * np.finfo(float).eps))
         start = 0
         for j in range(n - 1):
-            seg = pairs[start:start + n - j - 1]
-            seg[:] = square[j, j + 1:]
-            np.copyto(seg, 0.0, where=seg < noise[j] + noise[j + 1:])
+            pairs[start:start + n - j - 1] = square[j, j + 1:]
             start += n - j - 1
-        pairs.partition(ranks)
-        middle = pairs[ranks]
+        middle = _select(pairs, ranks)
+        bound = (np.sum(pts ** 2, axis=1)
+                 * ((pts.shape[1] + 2) * np.finfo(float).eps))
+        # at most ranks[-1] pairs lie below middle[-1], so only a middle
+        # below the largest pair's bound can have more pairs below theirs
+        if middle[-1] < np.sum(np.partition(bound, n - 2)[-2:]):
+            within = sum(np.count_nonzero(square[j, j + 1:]
+                                          < bound[j] + bound[j + 1:])
+                         for j in range(n - 1))
+            if within > ranks[-1]:
+                middle = [0.0]
     med = float(np.median(np.sqrt(middle)))
     if med <= 0.0:
         raise ValueError("median distance is zero: most pairs coincide")

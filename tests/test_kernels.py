@@ -134,19 +134,31 @@ def test_median_within_rounding_of_zero_is_zero_at_every_dimension():
                 f(x)
 
 
-def _square_ranks_calls(monkeypatch, bracket=None):
+def test_pairs_within_rounding_of_zero_move_no_rank():
+    # 20 points about the origin 1e-6 apart, and two about (1e3, 1e3)
+    # 1e-5 apart, whose squared distance 1e-10 is below its own bound
+    # of about 4e-9: the median is among the cluster's 190 pairs, and a
+    # far pair that rounds above it keeps its rank
+    rng = np.random.default_rng(3)
+    far = 1e3 + 1e-5 * rng.standard_normal((2, 2))
+    for seed in range(20):
+        near = 1e-6 * np.random.default_rng(seed).standard_normal((20, 2))
+        x = np.r_[near, far]
+        assert median_heuristic(x) == dense_median_heuristic(x) > 1e-7
+        assert median_gram(x)[0] == dense_median_heuristic(x)
+
+
+def _square_ranks_calls(monkeypatch, forced=None):
     """The point counts of the squares kernels ranks while the test runs;
-    with bracket, the first square ranks that many of its smallest (> 0)
-    or largest (< 0) pairs instead of the ranks it is asked for."""
+    with forced, the first square ranks forced(pairs), its number of
+    pairs given, instead of the ranks it is asked for."""
     counts = []
     inner = kernels._square_ranks
 
     def spy(s, ranks, work):
         counts.append(len(s))
-        if bracket is not None and len(counts) == 1:
-            pairs = len(s) * (len(s) - 1) // 2
-            ranks = (range(bracket) if bracket > 0
-                     else range(pairs + bracket, pairs))
+        if forced is not None and len(counts) == 1:
+            ranks = forced(len(s) * (len(s) - 1) // 2)
         return inner(s, list(ranks), work)
 
     monkeypatch.setattr(kernels, "_square_ranks", spy)
@@ -193,23 +205,49 @@ def test_row_ends_follow_the_differences_as_they_round(inside):
     assert misplaced > 0  # rounding moved some row ends
 
 
-def test_a_bracket_too_wide_for_its_work_ranks_every_pair(monkeypatch):
-    # two equal clusters: the sample's bracket spans both pair distances,
-    # 0 and 1, so it holds every pair, and the whole square is ranked
-    x = np.r_[np.zeros(150), np.ones(151)][:, None]
+@pytest.mark.parametrize("n, m", [(301, 150), (2000, 250)])
+def test_ties_at_the_bracket_ends_are_counted_not_formed(monkeypatch, n, m):
+    # two equal clusters: every pair distance is 0 or 1, so the sample's
+    # bracket is [0, 1] and holds every pair, all of them at its ends;
+    # the middle ranks are read off the counts, and no pair is formed;
+    # only the m-point samples' squares are ranked
+    x = np.r_[np.zeros(n // 2), np.ones(n - n // 2)][:, None]
     counts = _square_ranks_calls(monkeypatch)
-    assert median_heuristic(x) == dense_median_heuristic(x) == 1.0
-    assert counts == [150, 301]
+    formed = []
+    monkeypatch.setattr(kernels, "_row_diffs",
+                        lambda *a: formed.append(a) or None)
+    med, k = median_gram(x)
+    assert med == median_heuristic(x) == dense_median_heuristic(x) == 1.0
+    assert np.array_equal(k, dense_gaussian_gram(med, x, x))
+    assert counts == [m, m] and formed == []
 
 
-@pytest.mark.parametrize("bracket", [2, -2])
-def test_a_bracket_that_misses_ranks_every_pair(monkeypatch, bracket):
-    # a strided sample brackets the middle ranks with a margin that no
-    # sample tried here exceeded, so the bracket is forced to the
-    # sample's two smallest or two largest pair distances, where it
-    # misses the middle ranks from below or from above
+@pytest.mark.parametrize("n, seed, m", [(257, 42, 128), (700, 14, 233)])
+def test_a_half_zero_sample_that_misses_ranks_every_pair(monkeypatch, n,
+                                                         seed, m):
+    # half the points at 0: each other point's distance recurs once per
+    # zero, and in the m-point sample about m / 2 times, so a lump of
+    # ties as wide as the bracket's margin lies across the middle
+    x = np.r_[np.zeros(n // 2),
+              np.random.default_rng(seed).standard_normal(n - n // 2)]
+    counts = _square_ranks_calls(monkeypatch)
+    med, k = median_gram(x)
+    assert med == dense_median_heuristic(x[:, None])
+    assert np.array_equal(k, dense_gaussian_gram(med, x[:, None], x[:, None]))
+    assert counts == [m, n]
+
+
+@pytest.mark.parametrize("forced", [
+    lambda pairs: [0, 1],                  # misses from below
+    lambda pairs: [pairs - 2, pairs - 1],  # misses from above
+    lambda pairs: [1, pairs - 2],          # holds too many pairs
+], ids=["below", "above", "too-wide"])
+def test_a_bracket_forced_to_miss_ranks_every_pair(monkeypatch, forced):
+    # the bracket is forced to the sample's smallest or largest pair
+    # distances, where it misses the middle ranks of normal points, or
+    # to nearly all of them, which overfills the work
     x = np.random.default_rng(4).standard_normal((1000, 1))
-    counts = _square_ranks_calls(monkeypatch, bracket)
+    counts = _square_ranks_calls(monkeypatch, forced)
     med, k = median_gram(x)
     assert med == dense_median_heuristic(x)
     assert np.array_equal(k, dense_gaussian_gram(med, x, x))
