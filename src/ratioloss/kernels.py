@@ -190,8 +190,8 @@ def _work(square: Optional[np.ndarray], size: int) -> np.ndarray:
 def _select(a: np.ndarray, ranks: list) -> list:
     """The values of the 1-d array a at ranks (ascending); a is
     reordered.  One partition per rank, from the highest down, each over
-    the values below the one before: numpy partitions at one rank
-    several times faster than at several at once."""
+    the values below the one before: numpy partitions a large array at
+    one rank several times faster than at several at once."""
     top = len(a)
     for r in reversed(ranks):
         a[:top].partition(r)
@@ -212,7 +212,10 @@ def _square_ranks(s: np.ndarray, ranks: list, work: np.ndarray) -> list:
     square = work[:n * n]
     np.subtract.outer(s, s, out=square.reshape(n, n))
     low = n * (n - 1) // 2 + n
-    return [abs(v) for v in _select(square, [low + r for r in ranks])]
+    # one partition at every rank: numpy's single-rank partition can
+    # take 5x longer on a square of few distinct differences
+    square.partition([low + r for r in ranks])
+    return [abs(float(square[low + r])) for r in ranks]
 
 
 def _row_ends(s: np.ndarray, t: float, inside) -> np.ndarray:
@@ -364,8 +367,9 @@ def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
         bound = (np.sum(pts ** 2, axis=1)
                  * ((pts.shape[1] + 2) * np.finfo(float).eps))
         # at most ranks[-1] pairs lie below middle[-1], so only a middle
-        # below the largest pair's bound can have more pairs below theirs
-        if middle[-1] < np.sum(np.partition(bound, n - 2)[-2:]):
+        # below the largest pair's bound (or twice the largest point's)
+        # can have more pairs below theirs
+        if middle[-1] < 2.0 * bound.max():
             within = sum(np.count_nonzero(square[j, j + 1:]
                                           < bound[j] + bound[j + 1:])
                          for j in range(n - 1))
