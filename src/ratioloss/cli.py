@@ -370,9 +370,20 @@ def cmd_fit(o: dict) -> int:
     return 0
 
 
+def _model_field(key: str, read, value):
+    """read(value), or a ValueError naming the model file's field key."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"model file's {key!r} is unreadable: {exc}") from None
+
+
 def cmd_eval(o: dict) -> int:
     with open(o["model"]) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("--model must contain a JSON object")
     for key in ("family", "alpha", "kernel", "centers", "coeffs"):
         if key not in doc:
             raise ValueError(f"model file is missing {key!r}")
@@ -382,11 +393,13 @@ def cmd_eval(o: dict) -> int:
     kernel = KernelSpec(kind=kdoc["kind"], sigma=kdoc.get("sigma"),
                         degree=kdoc.get("degree"),
                         offset=kdoc.get("offset", 1.0))
-    centers = as_points(doc["centers"])
-    coeffs = np.asarray(doc["coeffs"], dtype=float)
+    centers = _model_field("centers", as_points, doc["centers"])
+    coeffs = _model_field("coeffs", lambda v: np.asarray(v, dtype=float),
+                          doc["coeffs"])
     if coeffs.shape != (len(centers),):
         raise ValueError("model file's 'coeffs' must hold one per center")
-    loss = family_loss(doc["family"], k=float(doc.get("k", 0.0)))
+    loss = family_loss(doc["family"],
+                       k=_model_field("k", _float, doc.get("k", 0.0)))
     model = RatioModel(kernel, centers, coeffs, loss)
 
     if o["data"] is not None:

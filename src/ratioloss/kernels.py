@@ -7,14 +7,15 @@ from the whole product x @ y.T.  Over MEDIAN_SAMPLE 1-d points, the
 median heuristic forms only some of the n(n-1)/2 pair distances: on
 the sorted points it counts, per row, the pairs below a bracket set by
 a strided sample and at its ends, in O(n log n), and partitions the
-pairs strictly within it, about 2 / MEDIAN_SAMPLE of them.  median_gram
-works in the front of the Gram's own array.
+pairs strictly within it, about 2 / MEDIAN_SAMPLE of them, in scratch
+of its own that is freed before median_gram forms the Gram.  At d > 1
+median_gram forms the squared distances once, in the Gram's array.
 """
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -182,11 +183,6 @@ def gram_dot(spec: KernelSpec, x, y, coeffs) -> np.ndarray:
     return out[0] if c.ndim == 1 else out.T
 
 
-def _work(square: Optional[np.ndarray], size: int) -> np.ndarray:
-    """size floats of work: the front of square if given, else _empty."""
-    return _empty(size) if square is None else square.reshape(-1)[:size]
-
-
 def _select(a: np.ndarray, ranks: list) -> list:
     """The values of the 1-d array a at ranks (ascending); a is
     reordered.  One partition per rank, from the highest down, each over
@@ -199,17 +195,16 @@ def _select(a: np.ndarray, ranks: list) -> list:
     return [float(a[r]) for r in ranks]
 
 
-def _square_ranks(s: np.ndarray, ranks: list, work: np.ndarray) -> list:
+def _square_ranks(s: np.ndarray, ranks: list) -> list:
     """|s_j - s_i| at ranks (ascending) among the pairs i < j of the 1-d
-    points s, from the whole square fl(s_j - s_i) in work's first n^2
-    entries.
+    points s, from the whole square fl(s_j - s_i).
 
     The square holds each pair's difference once as is and once negated,
     exactly, and n zeros on its diagonal, so rank r among the pairs is
     rank n(n-1)/2 + n + r of the square, up to the sign of a zero.
     """
     n = len(s)
-    square = work[:n * n]
+    square = _empty(n * n)
     np.subtract.outer(s, s, out=square.reshape(n, n))
     low = n * (n - 1) // 2 + n
     # one partition at every rank: numpy's single-rank partition can
@@ -245,33 +240,19 @@ def _row_ends(s: np.ndarray, t: float, inside) -> np.ndarray:
         end[ahead] = np.searchsorted(s, s[end[ahead]], "right")
 
 
-def _row_diffs(s: np.ndarray, start: np.ndarray, stop: np.ndarray,
-               work: np.ndarray) -> np.ndarray:
-    """The differences fl(s_j - s_i) for j in [start_i, stop_i), row by
-    row, in the front third of work; the other two thirds, viewed as
-    int64, hold each difference's j and i while they are formed."""
-    c = len(work) // 3
-    diffs, cols, rows = (work[:c], work[c:2 * c].view(np.int64),
-                         work[2 * c:].view(np.int64))
+def _row_diffs(s: np.ndarray, start: np.ndarray,
+               stop: np.ndarray) -> np.ndarray:
+    """The differences fl(s_j - s_i) for j in [start_i, stop_i), row by row."""
     counts = stop - start
-    held = np.flatnonzero(counts)
-    at = np.cumsum(counts[held]) - counts[held]  # where each row begins
-    # j and i step by 1 and 0 within a row, and jump where one begins
-    cols.fill(1)
-    cols[at] = start[held] - np.concatenate(([0], stop[held][:-1] - 1))
-    np.cumsum(cols, out=cols)
-    rows.fill(0)
-    rows[at] = np.diff(held, prepend=0)
-    np.cumsum(rows, out=rows)
-    # mode="clip" lets take write to out without a buffer of its own
-    np.take(s, cols, out=diffs, mode="clip")
-    diffs -= np.take(s, rows, out=cols.view(float), mode="clip")
-    return diffs
+    # each j less its place among all the differences, then plus it
+    cols = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    cols += np.arange(len(cols))
+    return s[cols] - np.repeat(s, counts)
 
 
-def _pair_diff_ranks(s: np.ndarray, ranks: list, square=None) -> list:
+def _pair_diff_ranks(s: np.ndarray, ranks: list) -> list:
     """|s_j - s_i| at ranks (ascending) among the pairs i < j of the
-    sorted 1-d points s, with _work(square, ...) as work space.
+    sorted 1-d points s.
 
     Over MEDIAN_SAMPLE points, a strided sample of about MEDIAN_SAMPLE
     of them, m, brackets the ranks first: its pair differences lo and
@@ -281,9 +262,9 @@ def _pair_diff_ranks(s: np.ndarray, ranks: list, square=None) -> list:
     pairs at lo or at hi is that end; only the pairs strictly between
     are formed and partitioned, about 2/m of them, so ties at the ends
     are never formed.  Should the bracket miss a rank, or hold more
-    pairs than the work space has room for, every pair is ranked: as
-    exact, only slower.  Up to MEDIAN_SAMPLE points, the sample would be
-    s itself, and every pair is ranked at once.
+    than n^2 / 3 pairs, every pair is ranked: as exact, only slower.  Up
+    to MEDIAN_SAMPLE points, the sample would be s itself, and every
+    pair is ranked at once.
     """
     n = len(s)
     stride = -(-n // MEDIAN_SAMPLE)
@@ -298,8 +279,7 @@ def _pair_diff_ranks(s: np.ndarray, ranks: list, square=None) -> list:
                 for r in (ranks[0], ranks[-1])]
         lo, hi = _square_ranks(
             sample, [max(near[0] - m // 2, 0),
-                     min(near[1] + m // 2, m * (m - 1) // 2 - 1)],
-            _work(square, m * m))
+                     min(near[1] + m // 2, m * (m - 1) // 2 - 1)])
         first = np.arange(1, n + 1)
         start = _row_ends(s, lo, np.less_equal)
         stop = _row_ends(s, hi, np.less)
@@ -309,39 +289,36 @@ def _pair_diff_ranks(s: np.ndarray, ranks: list, square=None) -> list:
                 _row_ends(s, lo, np.less), start, stop,
                 _row_ends(s, hi, np.less_equal)))
         held = below_hi - to_lo
-        # the held differences with their j and i, 3 floats each, must
-        # fit in the n^2 floats of work that ranking every pair takes
+        # each held difference is formed from its j, s_j and s_i, at least
+        # 3 numbers: past n^2 / 3 of them the whole square takes less
         if below <= ranks[0] and ranks[-1] < to_hi and 3 * held <= n * n:
             inner = [r - to_lo for r in ranks if to_lo <= r < below_hi]
-            formed = dict(zip(inner, _select(
-                _row_diffs(s, start, stop, _work(square, 3 * held)),
-                inner))) if inner else {}
+            formed = dict(zip(inner, _select(_row_diffs(s, start, stop),
+                                             inner))) if inner else {}
             return [lo if r < to_lo else hi if r >= below_hi
                     else formed[r - to_lo] for r in ranks]
-    return _square_ranks(s, ranks, _work(square, n * n))
+    return _square_ranks(s, ranks)
 
 
-def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
-    """(sigma, blocks): the median pairwise distance over pairs i < j of
-    points pts, and the row blocks of square, an n x n work array, as
-    _sq_dists fills them.
+def _median_sq_dist(pts: np.ndarray, square=None) -> float:
+    """The median pairwise distance over pairs i < j of points pts; at
+    d > 1, square (an n x n array, new if not given) is left holding
+    their squared distances.
 
     At d = 1 the middle ranks of the n(n-1)/2 differences |x_i - x_j|
-    are selected on the sorted points (_pair_diff_ranks), with the front
-    of square as work space if given, and the blocks are formed only
-    when iterated.  Squaring is monotone, also as it rounds, so the
-    squared middle differences are the middle squared distances.  At
-    d > 1 the blocks are formed first, in square or a new array, and
-    their strict upper triangle is copied into a pair buffer and
-    partitioned at the middle ranks.  The product formula |x_i|^2 +
-    |x_j|^2 - 2 x_i'x_j can leave up to (d + 2) eps (|x_i|^2 + |x_j|^2),
-    eps the float64 machine epsilon, of a zero by cancellation: when
-    more than half of the pairs lie below that bound, each its own, the
-    median counts as 0.  Otherwise the middle values are kept as they
-    are, so a pair below its bound moves no rank.  The lower middle of
-    an even count is the rank below the middle.  Only the
-    middle values are square-rooted: sqrt is monotone, so this is the
-    median of the distances.
+    are selected on the sorted points (_pair_diff_ranks).  Squaring is
+    monotone, also as it rounds, so the squared middle differences are
+    the middle squared distances.  At d > 1 the squared distances are
+    formed first, and their strict upper triangle is copied into a pair
+    buffer and partitioned at the middle ranks.  The product formula
+    |x_i|^2 + |x_j|^2 - 2 x_i'x_j can leave up to (d + 2) eps (|x_i|^2 +
+    |x_j|^2), eps the float64 machine epsilon, of a zero by
+    cancellation: when more than half of the pairs lie below that
+    bound, each its own, the median counts as 0.  Otherwise the middle
+    values are kept as they are, so a pair below its bound moves no
+    rank.  The lower middle of an even count is the rank below the
+    middle.  Only the middle values are square-rooted: sqrt is
+    monotone, so this is the median of the distances.
     """
     n = len(pts)
     if n < 2:
@@ -352,12 +329,11 @@ def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
     mid = size // 2
     ranks = [mid] if size % 2 else [mid - 1, mid]
     if pts.shape[1] == 1:
-        middle = np.square(
-            _pair_diff_ranks(np.sort(pts[:, 0]), ranks, square))
-        blocks = _sq_dists(pts, pts, square)
+        middle = np.square(_pair_diff_ranks(np.sort(pts[:, 0]), ranks))
     else:
         square = _empty((n, n)) if square is None else square
-        blocks = list(_sq_dists(pts, pts, square))
+        for _ in _sq_dists(pts, pts, square):
+            pass
         pairs = _empty(size)
         start = 0
         for j in range(n - 1):
@@ -378,26 +354,29 @@ def _median_sq_dist(pts: np.ndarray, square=None) -> tuple[float, Iterable]:
     med = float(np.median(np.sqrt(middle)))
     if med <= 0.0:
         raise ValueError("median distance is zero: most pairs coincide")
-    return med, blocks
+    return med
 
 
 def median_heuristic(points) -> float:
     """Median pairwise Euclidean distance over all pairs i < j."""
-    return _median_sq_dist(as_points(points))[0]
+    return _median_sq_dist(as_points(points))
 
 
 def median_gram(points) -> tuple[float, np.ndarray]:
     """(sigma, K): the median heuristic over points and their gaussian
-    Gram at that sigma, in one n x n array.
+    Gram at that sigma.
 
     Equal bit for bit to median_heuristic(points) followed by
-    gram(KernelSpec("gaussian", sigma), points, points).  The Gram's
-    array is the median's work space first: at d = 1 its front holds
-    the bracketed pair differences, or every pair's at up to
-    MEDIAN_SAMPLE points, and at d > 1 the squared distances.
+    gram(KernelSpec("gaussian", sigma), points, points), which is what
+    it runs at d = 1: the median's scratch is freed before the Gram is
+    formed.  At d > 1 the median's squared distances are formed in the
+    Gram's array and exponentiated there.
     """
     pts = as_points(points)
+    if pts.shape[1] == 1:
+        sigma = median_heuristic(pts)
+        return sigma, gram(KernelSpec(kind="gaussian", sigma=sigma), pts, pts)
     k = _empty((len(pts), len(pts)))
-    sigma, blocks = _median_sq_dist(pts, k)
-    _gaussian(blocks, sigma)
+    sigma = _median_sq_dist(pts, k)
+    _gaussian((k,), sigma)
     return sigma, k

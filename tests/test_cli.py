@@ -685,13 +685,23 @@ def test_eval_model_file_errors(tmp_path, capsys):
     # names the field, not a traceback or a raw matmul message
     good = json.loads((tmp_path / "fit" / "model.json").read_text())
     for field, value in (("kernel", {"sigma": 1.0}), ("kernel", "gaussian"),
-                         ("coeffs", good["coeffs"][:-1])):
+                         ("coeffs", good["coeffs"][:-1]), ("k", None),
+                         ("k", [6]), ("centers", [[0.1], [0.2, 0.3]]),
+                         ("centers", {"x": 1.0}),
+                         ("coeffs", [good["coeffs"][:2]] + good["coeffs"][2:])):
         bad.write_text(json.dumps(dict(good, **{field: value})))
         capsys.readouterr()
         assert main(["eval", "--model", str(bad),
                      "--out", str(tmp_path / "z")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model file's ") and repr(field) in err
+    # a document that is not an object, even one listing the fields
+    bad.write_text(json.dumps(["family", "alpha", "kernel", "centers",
+                               "coeffs"]))
+    assert main(["eval", "--model", str(bad),
+                 "--out", str(tmp_path / "z")]) == 1
+    assert capsys.readouterr().err == (
+        "error: --model must contain a JSON object\n")
     # a fractional polynomial degree is refused, not truncated to an integer
     bad.write_text(json.dumps(dict(good, kernel={
         "kind": "polynomial", "sigma": None, "degree": 2.5, "offset": 1.0})))

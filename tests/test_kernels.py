@@ -1,6 +1,7 @@
 """Kernel specs, Gram matrices, and the median bandwidth heuristic."""
 import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -155,11 +156,11 @@ def _square_ranks_calls(monkeypatch, forced=None):
     counts = []
     inner = kernels._square_ranks
 
-    def spy(s, ranks, work):
+    def spy(s, ranks):
         counts.append(len(s))
         if forced is not None and len(counts) == 1:
             ranks = forced(len(s) * (len(s) - 1) // 2)
-        return inner(s, list(ranks), work)
+        return inner(s, list(ranks))
 
     monkeypatch.setattr(kernels, "_square_ranks", spy)
     return counts
@@ -203,6 +204,37 @@ def test_row_ends_follow_the_differences_as_they_round(inside):
             naive = np.searchsorted(s, s + t, side)
             misplaced += np.any(np.maximum(naive, np.arange(1, 301)) != want)
     assert misplaced > 0  # rounding moved some row ends
+
+
+def _brute_row_diffs(s, start, stop):
+    return np.concatenate([np.empty(0)] + [s[a:b] - s[i] for i, (a, b)
+                                          in enumerate(zip(start, stop))])
+
+
+@pytest.mark.parametrize("s, start, stop", [
+    # empty rows at the start, in the middle and at the end
+    (np.arange(6.0) ** 2 / 7, [1, 2, 3, 4, 5, 6], [1, 5, 3, 6, 5, 6]),
+    (np.arange(6.0) ** 2 / 7, [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]),
+    (np.array([2.5]), [0], [1]),
+    (np.array([2.5]), [1], [1]),
+    (np.array([-1.0, 0.1, 0.3]), [1, 3, 3], [3, 3, 3]),
+], ids=["empty-rows", "every-row-empty", "one-row", "one-empty-row",
+        "one-held-row"])
+def test_row_diffs_equal_the_row_slices(s, start, stop):
+    start, stop = np.array(start), np.array(stop)
+    diffs = kernels._row_diffs(s, start, stop)
+    assert diffs.dtype == float
+    assert np.array_equal(diffs, _brute_row_diffs(s, start, stop))
+
+
+def test_row_diffs_equal_the_row_slices_on_random_rows():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 17, 300):
+        s = np.sort(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n))
+        start = rng.integers(np.arange(1, n + 1), n + 1)
+        stop = rng.integers(start, n + 1)
+        assert np.array_equal(kernels._row_diffs(s, start, stop),
+                              _brute_row_diffs(s, start, stop))
 
 
 @pytest.mark.parametrize("n, m", [(301, 150), (2000, 250)])
@@ -324,11 +356,18 @@ def test_polynomial_gram_matches_dense_formula_bit_for_bit(degree, d):
         assert np.array_equal(gram(spec, x, y), (offset + x @ y.T) ** degree)
 
 
-def _is_mapped(a: np.ndarray) -> bool:
-    """Whether a's memory is a memory map of its own."""
+def _map_of(a: np.ndarray):
+    """The memory map of its own that holds a's memory, or None."""
     while isinstance(a, np.ndarray):
         a = a.base
-    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+    if isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap):
+        return a.obj
+    return None
+
+
+def _is_mapped(a: np.ndarray) -> bool:
+    """Whether a's memory is a memory map of its own."""
+    return _map_of(a) is not None
 
 
 def _peak_bytes(f, monkeypatch):
@@ -355,8 +394,8 @@ def _peak_bytes(f, monkeypatch):
 
 def test_large_inputs_build_one_square_array(monkeypatch):
     # the dense formulas peak at about three n x n arrays; row blocks keep
-    # gram to its output and median_gram to its Gram, whose front holds
-    # the 1-d median's work first; the 1-d median_heuristic forms only
+    # gram to its output and median_gram to its Gram, formed once the
+    # 1-d median's scratch is freed; the 1-d median_heuristic forms only
     # the bracketed differences and a sample's square, O(n) at this n
     n = 2000
     x = np.random.default_rng(0).standard_normal((n, 1))
@@ -365,6 +404,44 @@ def test_large_inputs_build_one_square_array(monkeypatch):
     assert _peak_bytes(lambda: median_gram(x), monkeypatch) < 1.25 * square
     spec = KernelSpec(kind="gaussian", sigma=0.5)
     assert _peak_bytes(lambda: gram(spec, x, x), monkeypatch) < 1.25 * square
+
+
+def _live_peak_bytes(f, monkeypatch):
+    """tracemalloc's peak while f runs plus the most bytes kernels holds
+    mapped at one time: a map counts from when _empty makes it until it
+    is unmapped, when its last view is dropped."""
+    live = [0, 0]  # mapped bytes now, and at most
+    empty = kernels._empty
+
+    def unmapped(nbytes):
+        live[0] -= nbytes
+
+    def counted(shape):
+        a = empty(shape)
+        if _is_mapped(a):
+            live[0] += a.nbytes
+            live[1] = max(live)
+            weakref.finalize(_map_of(a), unmapped, a.nbytes)
+        return a
+
+    monkeypatch.setattr(kernels, "_empty", counted)
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] + live[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_missed_bracket_keeps_one_square_array_live(monkeypatch):
+    # the bracket is forced to miss, so the 1-d median ranks every pair
+    # in an n x n square; median_gram frees it before the Gram is formed
+    n = 2000
+    x = np.random.default_rng(4).standard_normal((n, 1))
+    counts = _square_ranks_calls(monkeypatch, lambda pairs: [0, 1])
+    peak = _live_peak_bytes(lambda: median_gram(x), monkeypatch)
+    assert counts == [250, n]
+    assert peak < 1.25 * n * n * 8
 
 
 @pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"),
