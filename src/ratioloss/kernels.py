@@ -35,9 +35,9 @@ MEDIAN_SAMPLE = 256
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel description: 'gaussian' (needs a finite sigma > 0, or
-    MEDIAN) or 'polynomial' (needs integer degree >= 1 and a finite
-    offset, 1 by default)."""
+    """Kernel description: 'gaussian' (needs a finite sigma > 0 whose
+    square is a positive finite float, or MEDIAN) or 'polynomial' (needs
+    integer degree >= 1 and a finite offset, 1 by default)."""
 
     kind: str
     sigma: Union[float, str, None] = None
@@ -46,10 +46,20 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind == "gaussian":
-            if self.sigma != MEDIAN and not (_finite(self.sigma)
-                                             and self.sigma > 0):
+            if self.sigma == MEDIAN:
+                return
+            need = "gaussian kernel needs a finite sigma > 0 or 'median'"
+            if not (_finite(self.sigma) and self.sigma > 0):
+                raise ValueError(need)
+            try:
+                square = float(self.sigma) ** 2
+            except OverflowError:
+                square = np.inf
+            # the Gram divides by the square: 0 makes its diagonal 0/0,
+            # and inf makes it all ones
+            if not 0.0 < square < np.inf:
                 raise ValueError(
-                    "gaussian kernel needs a finite sigma > 0 or 'median'")
+                    f"{need}; sigma {self.sigma!r} squares to {square}")
         elif self.kind == "polynomial":
             if not (isinstance(self.degree, (int, np.integer))
                     and self.degree >= 1):

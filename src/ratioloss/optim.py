@@ -21,20 +21,18 @@ The BFGS update (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 eq. 6.17) is the symmetric rank-2 step H -= s w' + w s', so the inverse
 Hessian is kept in the compact form of Byrd, Nocedal & Schnabel (Math.
 Prog. 63, 1994): H = D - S'W - W'S over the rows s, w of the updates
-applied since the last restart.  A product H v costs O(nk) for k held
-pairs and no n x n array exists.  The start D is the identity, or, for
-a quadratic part of curvature mu in A, that part's inverse Hessian
-(mu A)^-1 (Nocedal & Wright, section 6.1), applied to g = A u as u/mu
-with no solve and no product: dre.fit passes mu = 2 alpha for its
-penalty alpha c'Gc at every alpha > 0, and no mu at alpha = 0.  A run
-that has to retry along the scaled gradient keeps the identity from
-then on; a restart after a non-descent direction goes back to D.  Once
-n pairs are held they are folded into a dense D, which happens only
-when max_iter >= n, that is, for small problems; from the penalty
-start, which has no dense form, the run restarts instead.  The product
-H g is carried across iterations: after a step, one product gives
-H g_new, H y is its difference from the carried H g, and the update
-corrects H g_new in O(n).
+applied since the last restart, all of them: at most max_iter, one per
+accepted step.  A product H v costs O(nk) for k held pairs and no n x n
+array exists.  The start D is the identity, or, for a quadratic part of
+curvature mu in A, that part's inverse Hessian (mu A)^-1 (Nocedal &
+Wright, section 6.1), applied to g = A u as u/mu with no solve and no
+product: dre.fit passes mu = 2 alpha for its penalty alpha c'Gc at
+every alpha > 0, and no mu at alpha = 0.  A run that has to retry along
+the scaled gradient keeps the identity from then on; a restart after a
+non-descent direction goes back to D.  The product H g is carried
+across iterations: after a step, one product gives H g_new, H y is its
+difference from the carried H g, and the update corrects H g_new in
+O(n).
 
 _projected_newton minimizes over x >= lower with the same objective
 protocol plus a Hessian callable; dre solves the dual of small
@@ -120,52 +118,40 @@ def _backtrack(obj: Objective, x: np.ndarray, z: np.ndarray, f: float,
 
 
 class _InverseHessian:
-    """H = D - S'W - W'S, with D the start until the first fold: the
-    identity, or (mu A)^-1 for a curvature mu."""
+    """H = D - S'W - W'S, with D the start: the identity, or (mu A)^-1
+    for a curvature mu.  S and W have min(n, max_iter) rows at first,
+    doubled, up to max_iter, whenever the pairs fill them."""
 
-    def __init__(self, n: int, rows: int, mu: float | None):
-        self.s = np.empty((rows, n))
-        self.w = np.empty((rows, n))
+    def __init__(self, n: int, max_iter: int, mu: float | None):
+        self.s = np.empty((min(n, max_iter), n))
+        self.w = np.empty_like(self.s)
         self.k = 0  # pairs held
-        self.d = None  # dense D; None stands for the start
+        self.max_iter = max_iter
         self.mu = mu  # None for the identity start
 
     def dot(self, v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
         """H v, for a vector or a matrix v; u, with A u = v, is read
         only from the penalty start."""
-        if self.d is not None:
-            out = self.d @ v
-        elif self.mu is None:
-            out = v.copy()
-        else:
-            out = u / self.mu
+        out = v.copy() if self.mu is None else u / self.mu
         if self.k:
             s, w = self.s[:self.k], self.w[:self.k]
             out -= s.T @ (w @ v) + w.T @ (s @ v)
         return out
 
-    def update(self, s: np.ndarray, w: np.ndarray) -> bool:
-        """H -= s w' + w s'; False when that left n pairs from the
-        penalty start, which has no dense form to fold them into, and
-        they were dropped instead: H is D again."""
+    def update(self, s: np.ndarray, w: np.ndarray) -> None:
+        """H -= s w' + w s'."""
+        if self.k == len(self.s):
+            rows = min(2 * self.k, self.max_iter)
+            self.s = np.resize(self.s, (rows, s.size))
+            self.w = np.resize(self.w, (rows, s.size))
         self.s[self.k] = s
         self.w[self.k] = w
         self.k += 1
-        n = s.size
-        if self.k == n:
-            if self.mu is not None:
-                _reset(self)
-                return False
-            # n pairs cost as much as a dense matrix; fold them into D
-            self.d = self.dot(np.eye(n))
-            self.k = 0
-        return True
 
 
 def _reset(hinv: _InverseHessian) -> None:
-    """Make hinv its start D again, dropping its pairs and any fold."""
+    """Make hinv its start D again, dropping its pairs."""
     hinv.k = 0
-    hinv.d = None
 
 
 def _check_stopping(max_iter: int, grad_tol: float) -> None:
@@ -233,9 +219,7 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
     def search(p, dd):
         return _backtrack(evaluate, x, z, f, p, apply(p), dd, apply)
 
-    n = x.size
-    # every update is one accepted step, so at most max_iter are held
-    hinv = _InverseHessian(n, min(n, max_iter), curvature)
+    hinv = _InverseHessian(x.size, max_iter, curvature)
     hg = hinv.dot(g, u)  # carried across iterations
     iterations = 0
 
@@ -295,10 +279,8 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
             rho = 1.0 / sy
             hy = hg_new - hg
             w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
-            if hinv.update(s, w):
-                hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
-            else:
-                hg_new = hinv.dot(g_new, u_new)
+            hinv.update(s, w)
+            hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
         x, z, f, g, u, hg = x_new, z_new, f_new, g_new, u_new, hg_new
         iterations += 1
 

@@ -673,7 +673,7 @@ def test_eval_model_file_errors(tmp_path, capsys):
     assert main(["fit", "--family", "kulsif", "--solver", "closed-form",
                  "--n", "5", "--m", "5", "--out", str(tmp_path / "fit")]) == 0
     doc = json.loads((tmp_path / "fit" / "model.json").read_text())
-    for sigma in (None, "wide", -1.0):
+    for sigma in (None, "wide", -1.0, 1e-170, 1e200):
         doc["kernel"]["sigma"] = sigma
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -681,6 +681,14 @@ def test_eval_model_file_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "z")]) == 1
         assert capsys.readouterr().err.startswith(
             "error: gaussian kernel needs a finite sigma > 0")
+    # so is the flag, for the closed form and for BFGS
+    for solver in ("closed-form", "bfgs"):
+        assert main(["fit", "--family", "kulsif", "--solver", solver,
+                     "--n", "5", "--m", "5", "--sigma", "1e-170",
+                     "--out", str(tmp_path / "z")]) == 1
+        assert capsys.readouterr().err == (
+            "error: gaussian kernel needs a finite sigma > 0 or 'median'; "
+            "sigma 1e-170 squares to 0.0\n")
     # a malformed kernel or coefficient vector is a usage error that
     # names the field, not a traceback or a raw matmul message
     good = json.loads((tmp_path / "fit" / "model.json").read_text())

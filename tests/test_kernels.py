@@ -32,8 +32,11 @@ def test_kernel_spec_validation():
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), "wide",
-                                   "Median"])
+                                   "Median", 1e-170, 1e200,
+                                   pytest.param(10**400, id="10^400")])
 def test_gaussian_sigma_is_a_positive_number_or_median(sigma):
+    # 1e-170 squares to 0, which would make the Gram's diagonal 0/0, and
+    # 1e200 and 10^400 square past the float range
     with pytest.raises(ValueError,
                        match="needs a finite sigma > 0 or 'median'"):
         KernelSpec(kind="gaussian", sigma=sigma)
@@ -277,7 +280,7 @@ def test_a_half_zero_sample_that_misses_ranks_every_pair(monkeypatch, n,
 def test_a_bracket_forced_to_miss_ranks_every_pair(monkeypatch, forced):
     # the bracket is forced to the sample's smallest or largest pair
     # distances, where it misses the middle ranks of normal points, or
-    # to nearly all of them, which overfills the work
+    # to nearly all of them, more than the n^2 / 3 pairs it may hold
     x = np.random.default_rng(4).standard_normal((1000, 1))
     counts = _square_ranks_calls(monkeypatch, forced)
     med, k = median_gram(x)

@@ -110,10 +110,10 @@ def test_steep_start_retries_along_scaled_gradient():
 def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8, start=None):
     """bfgs with the textbook dense update: two matvecs and three outer
     products per iteration, a fresh start on every restart.  Same line
-    search, curvature skip and restart policy as bfgs.  start, when
-    given, maps x to D g(x) for the penalty start D; the dense matrix
-    then holds H - D, and n updates since the last restart, or the scaled
-    retry, restart it, the retry for good with the identity."""
+    search, curvature skip and restart policy as bfgs; no number of
+    updates restarts it.  start, when given, maps x to D g(x) for the
+    penalty start D; the dense matrix then holds H - D, and the scaled
+    retry restarts it for good with the identity."""
     x = np.array(x0, dtype=float)
     f, g = obj(x)
     f = float(f)
@@ -127,7 +127,6 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8, start=None):
         return hinv @ g if start is None else hinv @ g + start(x)
 
     hinv = fresh()
-    held = 0
     iterations = 0
     status = "max_iter"
     for _ in range(max_iter):
@@ -139,7 +138,7 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8, start=None):
         dd = float(p @ g)
         restarted = False
         if dd >= 0.0:
-            hinv, held = fresh(), 0
+            hinv = fresh()
             p = -h_dot(hinv, x, g)
             if float(p @ g) >= 0.0:
                 start = None
@@ -151,7 +150,7 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8, start=None):
         if trial is None and (not restarted or gnorm > 1.0
                               or start is not None):
             start = None
-            hinv, held = fresh(), 0
+            hinv = fresh()
             p = -g / max(1.0, gnorm)
             dd = float(p @ g)
             trial = _backtrack(lambda pt: obj(pt[0]), x, x, f, p, p, dd,
@@ -171,9 +170,6 @@ def reference_bfgs(obj, x0, max_iter=100, grad_tol=1e-8, start=None):
                 hy += start(x_new) - start(x)
             hinv -= rho * (np.outer(s, hy) + np.outer(hy, s))
             hinv += rho * rho * (float(yv @ hy) + sy) * np.outer(s, s)
-            held += 1
-            if held == n and start is not None:
-                hinv, held = fresh(), 0
         x, f, g = x_new, f_new, g_new
         iterations += 1
     else:
@@ -278,24 +274,23 @@ def test_matches_dense_reference_through_restarts(monkeypatch):
     _assert_same_run(_kinked, x0, max_iter=100, grad_tol=1e-10)
 
 
-def test_folds_match_dense_reference_through_a_restart(monkeypatch):
-    # with cosh in x1 the run takes 10 updates, more than 2n = 4, so the
-    # held pairs are folded into a dense matrix several times, and the
-    # restart discards a folded matrix
+def test_more_than_n_pairs_match_dense_reference_through_a_restart(
+        monkeypatch):
+    # with cosh in x1 the run takes 10 updates, so it holds more than
+    # n = 2 pairs at once, and the restart discards an updated matrix
     obj = _kinked_objective(lambda t: np.cosh(t - 1.0),
                             lambda t: np.sinh(t - 1.0))
-    folds = []
+    held = []
     discarded = []
     update = optim._InverseHessian.update
     reset = optim._reset
 
     def recording_update(hinv, s, w):
         update(hinv, s, w)
-        if hinv.k == 0:
-            folds.append(None)
+        held.append(hinv.k)
 
     def recording_reset(hinv):
-        discarded.append(hinv.d is not None)
+        discarded.append(hinv.dot(np.eye(2)))
         reset(hinv)
 
     monkeypatch.setattr(optim._InverseHessian, "update", recording_update)
@@ -303,8 +298,10 @@ def test_folds_match_dense_reference_through_a_restart(monkeypatch):
     x0 = np.array([-1e-10, 3.0])
     res = bfgs(obj, x0, max_iter=100, grad_tol=1e-10)
     assert res.status == "converged"
-    assert len(folds) >= 2
-    assert discarded == [False, True]
+    assert max(held) > 2
+    assert len(discarded) == 2
+    assert np.array_equal(discarded[0], np.eye(2))
+    assert not np.array_equal(discarded[1], np.eye(2))
     monkeypatch.undo()
     _assert_same_run(obj, x0, max_iter=100, grad_tol=1e-10)
 
@@ -511,29 +508,70 @@ def _cosh_objective(a, t, mu):
     return plain, linear, lambda x: linear((x, a @ x))[1] / mu
 
 
-def test_penalty_start_restarts_where_the_identity_would_fold(monkeypatch):
-    # n = 3 and about 25 updates: with n pairs held the penalty start
-    # has no dense form to fold into, so the run restarts from D
-    a = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
-    t = np.array([3.0, -2.0, 1.0])
-    plain, linear, start = _cosh_objective(a, t, 3.0)
-    restarts = []
+_COSH_A = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.3], [0.1, 0.3, 1.5]])
+_COSH_T = np.array([3.0, -2.0, 1.0])
+
+
+def _recording_pairs(monkeypatch):
+    """The number of pairs held after each update, and the rows of the
+    pair buffers it was written to."""
+    held = []
     update = optim._InverseHessian.update
 
     def recording_update(hinv, s, w):
-        kept = update(hinv, s, w)
-        restarts.append(not kept)
-        assert hinv.d is None
-        return kept
+        update(hinv, s, w)
+        held.append((hinv.k, len(hinv.s)))
 
     monkeypatch.setattr(optim._InverseHessian, "update", recording_update)
-    res = bfgs(linear, np.zeros(3), max_iter=100, grad_tol=1e-10, linear=a,
-               curvature=3.0)
+    return held
+
+
+def test_penalty_start_keeps_its_pairs_past_n(monkeypatch):
+    # n = 3 and 11 updates: the penalty start holds more than n
+    # pairs at once, as the identity start does
+    plain, linear, start = _cosh_objective(_COSH_A, _COSH_T, 3.0)
+    held = _recording_pairs(monkeypatch)
+    res = bfgs(linear, np.zeros(3), max_iter=100, grad_tol=1e-10,
+               linear=_COSH_A, curvature=3.0)
     monkeypatch.undo()
     assert (res.status, res.h0) == ("converged", "penalty")
-    assert sum(restarts) >= 1
+    assert max(k for k, _ in held) > 3
     ref = reference_bfgs(plain, np.zeros(3), max_iter=100, grad_tol=1e-10,
                          start=start)
+    assert (res.status, res.iterations) == (ref.status, ref.iterations)
+    assert np.allclose(res.x_star, ref.x_star, rtol=1e-10, atol=1e-12)
+    # at mu 0.1, D is a poor scale; with its curvature kept, the penalty
+    # start still needs no more iterations than the identity
+    _, linear, _ = _cosh_objective(_COSH_A, _COSH_T, 0.1)
+    penalty, identity = (bfgs(linear, np.zeros(3), max_iter=100,
+                              linear=_COSH_A, curvature=mu)
+                         for mu in (0.1, None))
+    assert (penalty.status, penalty.h0) == ("converged", "penalty")
+    assert (identity.status, identity.h0) == ("converged", "identity")
+    assert penalty.iterations <= identity.iterations
+
+
+@pytest.mark.parametrize("curvature", [None, 0.1])
+def test_pair_buffers_grow_as_held_not_by_max_iter(monkeypatch, curvature):
+    # max_iter 10^9 rows of pairs would take 48 GB; the buffers start at
+    # n = 3 rows and double only as the run holds more pairs
+    plain, linear, start = _cosh_objective(_COSH_A, _COSH_T, 0.1)
+    held = _recording_pairs(monkeypatch)
+    tracemalloc.start()
+    try:
+        res = bfgs(linear, np.zeros(3), max_iter=10**9, grad_tol=1e-10,
+                   linear=_COSH_A, curvature=curvature)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert res.status == "converged"
+    assert max(k for k, _ in held) > 3
+    assert held[0][1] == 3
+    assert all(k <= rows < 2 * k for k, rows in held if rows > 3)
+    assert peak < 16 * 1024
+    ref = reference_bfgs(plain, np.zeros(3), max_iter=10**9, grad_tol=1e-10,
+                         start=None if curvature is None else start)
     assert (res.status, res.iterations) == (ref.status, ref.iterations)
     assert np.allclose(res.x_star, ref.x_star, rtol=1e-10, atol=1e-12)
 
