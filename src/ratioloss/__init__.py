@@ -20,7 +20,7 @@ from .synth import (PiecewisePairSpec, Rng, default_pair, gaussian_pair,
 from .dre import (CLAMP_BUDGET, FitError, RatioModel, SampleSet,
                   cross_validate_alpha, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
-from .iw import WeightedRegressionTask, krr_predictor, weighted_krr
+from .iw import weighted_poly_ridge
 from .checks import CHECK_GROUPS, run_all
 from .figures import figure1, figure2, figure3
 
@@ -30,16 +30,16 @@ __all__ = [
     "BregmanGenerator", "CHECK_GROUPS", "CLAMP_BUDGET", "CertificationError",
     "CompositeLoss", "DiscretePair", "FAMILY_NAMES", "FitError",
     "GRAM_JITTER", "KernelSpec", "MEDIAN", "PiecewisePairSpec", "RATIO_CAP",
-    "RatioMap", "RatioModel", "Rng", "SampleSet", "WeightedRegressionTask",
-    "as_points", "bayes_risk", "bfgs", "bregman_term", "builtin_generator",
-    "canonical_ratio_map", "conditional_risk", "construct_loss",
-    "convexity_margin", "cross_validate_alpha", "default_pair",
-    "diamond_transform", "divergence_discrete", "excess_risk_identity_check",
-    "exp_ratio_map", "family_loss", "figure1", "figure2", "figure3", "fit",
-    "gaussian_pair", "gram", "gram_dot", "identity_ratio_map", "integrate",
-    "krr_predictor", "kulsif_fit_closed_form", "median_gram",
-    "median_heuristic", "piecewise_beta", "population_fit_parametric",
-    "predict_ratio", "regression_task", "run_all", "sample_piecewise",
-    "shuford_weight", "simpson_nodes", "simpson_weights", "sup_error",
-    "target_function", "weight_representation", "weighted_krr",
+    "RatioMap", "RatioModel", "Rng", "SampleSet", "as_points", "bayes_risk",
+    "bfgs", "bregman_term", "builtin_generator", "canonical_ratio_map",
+    "conditional_risk", "construct_loss", "convexity_margin",
+    "cross_validate_alpha", "default_pair", "diamond_transform",
+    "divergence_discrete", "excess_risk_identity_check", "exp_ratio_map",
+    "family_loss", "figure1", "figure2", "figure3", "fit", "gaussian_pair",
+    "gram", "gram_dot", "identity_ratio_map", "integrate",
+    "kulsif_fit_closed_form", "median_gram", "median_heuristic",
+    "piecewise_beta", "population_fit_parametric", "predict_ratio",
+    "regression_task", "run_all", "sample_piecewise", "shuford_weight",
+    "simpson_nodes", "simpson_weights", "sup_error", "target_function",
+    "weight_representation", "weighted_poly_ridge",
 ]

@@ -9,7 +9,8 @@ All outputs are deterministic for a given seed on a given CPU set: JSON
 is written with sorted keys and CSV floats with repr, so reruns are
 byte-identical.  OpenBLAS runs one thread per usable CPU, and some of
 its solves round differently with another thread count: dual-Newton ew
-fits and fig3's dual solve write other bytes on one CPU than on two.
+fits write other bytes on one CPU than on two.  fig3 writes the same
+bytes on every CPU set: no BLAS call runs over its points.
 """
 from __future__ import annotations
 

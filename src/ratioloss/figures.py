@@ -7,6 +7,7 @@ tests; fig2 runs its replicate fits in forked workers (dre._run_jobs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -14,11 +15,11 @@ import numpy as np
 from .dre import (SampleSet, _run_jobs, fit, kulsif_fit_closed_form,
                   population_fit_parametric, predict_ratio, sup_error)
 from .generators import builtin_generator, parse_family
-from .kernels import MEDIAN, KernelSpec, gram_dot
+from .kernels import MEDIAN, KernelSpec
 from .losses import family_loss
 from .synth import (Rng, default_pair, gaussian_pair, piecewise_beta,
                     regression_task, target_function)
-from .iw import WeightedRegressionTask, krr_predictor, weighted_krr
+from .iw import weighted_poly_ridge
 
 FIGURE1_FAMILIES = ("lr", "kulsif", "poly1", "poly6", "ew")
 SUP_INTERVAL = (0.9, 1.0)  # inside the default pair's large-ratio region
@@ -133,25 +134,22 @@ def figure3(seed: int = 0, n_src: int = 200, noise_sigma: float = 0.1,
         "ew": np.maximum(pop["ew"].beta_hat(src), 0.0),
         "lr": np.maximum(pop["lr"].beta_hat(src), 0.0),
     }
-    kernel = KernelSpec(kind="polynomial", degree=degree)
-    coeffs = {}
-    predictors = {}
-    for name, w in weightings.items():
-        wtask = WeightedRegressionTask(xs=src, ys=task.src_ys, weights=w,
-                                       kernel=kernel, alpha=alpha)
-        coeffs[name] = weighted_krr(wtask)
-        predictors[name] = krr_predictor(wtask, coeffs[name])
+    # np.polyval takes the coefficients highest degree first
+    predictors = {
+        name: partial(np.polyval, weighted_poly_ridge(
+            src, task.src_ys, w, degree, alpha)[::-1])
+        for name, w in weightings.items()
+    }
     # squared L^2(mu) distances of the predictors from the target, piece
-    # by piece against the piecewise densities; every predictor and both
-    # measures share one pass over each piece's Simpson nodes
+    # by piece against the piecewise densities; both measures share one
+    # pass over each piece's Simpson nodes.  np.sum, not w @ sq: a dot
+    # product over more than 10,000 nodes is split by thread count.
     l2p_sq = dict.fromkeys(weightings, 0.0)
     l2q_sq = dict.fromkeys(weightings, 0.0)
-    stacked = np.column_stack([coeffs[name] for name in weightings])
     for xs, w, p_level, q_level in spec.pieces(l2_nodes):
         target = target_function(xs)
-        preds = gram_dot(kernel, xs, src, stacked)
-        for j, name in enumerate(weightings):
-            sq = float(w @ (preds[:, j] - target) ** 2)
+        for name, predict in predictors.items():
+            sq = float(np.sum(w * (predict(xs) - target) ** 2))
             l2p_sq[name] += p_level * sq
             l2q_sq[name] += q_level * sq
     return {"population_fits": pop, "weightings": weightings,

@@ -36,7 +36,7 @@ MEDIAN_SAMPLE = 256
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel description: 'gaussian' (needs a finite sigma > 0 whose
-    square is a positive finite float, or MEDIAN) or 'polynomial' (needs
+    square is a normal finite float, or MEDIAN) or 'polynomial' (needs
     integer degree >= 1 and a finite offset, 1 by default)."""
 
     kind: str
@@ -56,8 +56,8 @@ class KernelSpec:
             except OverflowError:
                 square = np.inf
             # the Gram divides by the square: 0 makes its diagonal 0/0,
-            # and inf makes it all ones
-            if not 0.0 < square < np.inf:
+            # a subnormal overflows the quotient, and inf makes it all ones
+            if not np.finfo(float).tiny <= square < np.inf:
                 raise ValueError(
                     f"{need}; sigma {self.sigma!r} squares to {square}")
         elif self.kind == "polynomial":
@@ -174,23 +174,20 @@ def gram_dot(spec: KernelSpec, x, y, coeffs) -> np.ndarray:
     a buffer comes from the heap and is small enough not to stay
     resident there.  Whole multiples of DIST_ROWS rows gave the same
     bits with 1 and 2 OpenBLAS threads, where a whole 2001 x 2000
-    product did not.  For 2-d coeffs, column j is block @ coeffs[:, j],
-    so it equals the 1-d call on that column bit for bit.
+    product did not.
     """
     x = as_points(x)
     y = as_points(y)
-    c = np.asarray(coeffs, dtype=float)
-    cols = np.ascontiguousarray(np.atleast_2d(c.T))
-    out = np.empty((len(cols), len(x)))
+    c = np.ascontiguousarray(coeffs, dtype=float)
+    out = np.empty(len(x))
     rows = (MAPPED_BYTES // 4 - 1) // (max(len(y), 1) * 8)
     rows = max(DIST_ROWS, rows // DIST_ROWS * DIST_ROWS)
     buf = np.empty((min(rows, len(x)), len(y)))
     # one block even for no rows, so gram checks the arguments
     for i in range(0, max(len(x), 1), rows):
         block = gram(spec, x[i:i + rows], y, out=buf[:len(x) - i])
-        for o, col in zip(out, cols):
-            o[i:i + rows] = block @ col
-    return out[0] if c.ndim == 1 else out.T
+        out[i:i + rows] = block @ c
+    return out
 
 
 def _select(a: np.ndarray, ranks: list) -> list:

@@ -180,7 +180,8 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
     backtracking cannot find a decrease even after restarting along
     -g / max(1, |g|_inf) ("line_search_failed").  The
     inverse-Hessian update is skipped whenever s'y <= 1e-10 |s||y|,
-    keeping the approximation positive definite.  ValueError unless
+    keeping the approximation positive definite, and whenever it is not
+    finite.  ValueError unless
     max_iter >= 0, grad_tol >= 0 and curvature is None or in (0, inf).
     """
     _check_stopping(max_iter, grad_tol)
@@ -275,12 +276,18 @@ def bfgs(obj: Objective, x0, max_iter: int = 100, grad_tol: float = 1e-8,
         hg_new = hinv.dot(g_new, u_new)
         if sy > CURVATURE_FLOOR * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
             # hinv -= rho (s hy' + hy s') - rho^2 (y'hy + s'y) s s', written
-            # as hinv -= s w' + w s' with hy = hinv @ y = hg_new - hg
+            # as hinv -= s w' + w s' with hy = hinv @ y = hg_new - hg; for
+            # a minuscule s'y, rho^2 can overflow, and an update that is
+            # not finite is skipped like one that fails the test above
             rho = 1.0 / sy
             hy = hg_new - hg
-            w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
-            hinv.update(s, w)
-            hg_new -= s * float(w @ g_new) + w * float(s @ g_new)
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = rho * hy - (0.5 * rho * rho * (float(yv @ hy) + sy)) * s
+                corrected = hg_new - (s * float(w @ g_new)
+                                      + w * float(s @ g_new))
+            if np.all(np.isfinite(w)) and np.all(np.isfinite(corrected)):
+                hinv.update(s, w)
+                hg_new = corrected
         x, z, f, g, u, hg = x_new, z_new, f_new, g_new, u_new, hg_new
         iterations += 1
 

@@ -681,14 +681,17 @@ def test_eval_model_file_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "z")]) == 1
         assert capsys.readouterr().err.startswith(
             "error: gaussian kernel needs a finite sigma > 0")
-    # so is the flag, for the closed form and for BFGS
+    # so is the flag, for the closed form and for BFGS; 1e-160 squares
+    # to a subnormal, 1e-320, which overflowed every Gram's quotient
     for solver in ("closed-form", "bfgs"):
-        assert main(["fit", "--family", "kulsif", "--solver", solver,
-                     "--n", "5", "--m", "5", "--sigma", "1e-170",
-                     "--out", str(tmp_path / "z")]) == 1
-        assert capsys.readouterr().err == (
-            "error: gaussian kernel needs a finite sigma > 0 or 'median'; "
-            "sigma 1e-170 squares to 0.0\n")
+        for sigma, square in (("1e-170", "0.0"), ("1e-160", "1e-320")):
+            assert main(["fit", "--family", "kulsif", "--solver", solver,
+                         "--n", "5", "--m", "5", "--sigma", sigma,
+                         "--out", str(tmp_path / "z")]) == 1
+            assert capsys.readouterr().err == (
+                "error: gaussian kernel needs a finite sigma > 0 or "
+                f"'median'; sigma {sigma} squares to {square}\n")
+            assert not (tmp_path / "z").exists()
     # a malformed kernel or coefficient vector is a usage error that
     # names the field, not a traceback or a raw matmul message
     good = json.loads((tmp_path / "fit" / "model.json").read_text())
@@ -840,6 +843,33 @@ def test_fig_commands_reduced(tmp_path):
         n: f.status for n, f in pop.items()}
     assert summary["population_iterations"] == {
         n: f.iterations for n, f in pop.items()}
+
+
+def test_fig3_writes_the_same_bytes_on_one_cpu_as_on_every_cpu(tmp_path):
+    # OpenBLAS runs one thread per usable CPU and splits long products by
+    # thread count; fig3's fits and error sums make no BLAS call over its
+    # points, so its files do not depend on the CPU set.  The child sets
+    # its affinity before numpy loads OpenBLAS.
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    if len(cpus) < 2:
+        pytest.skip("needs at least 2 usable CPUs")
+    child = ("import os, sys\n"
+             "if sys.argv[1] != 'all':\n"
+             "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+             "from ratioloss.cli import main\n"
+             "sys.exit(main(sys.argv[2:]))\n")
+    outs = []
+    for cpu in (str(cpus[0]), "all"):
+        out = tmp_path / cpu
+        proc = subprocess.run(
+            [sys.executable, "-c", child, cpu, "fig3", "--n-src", "50",
+             "--l2-nodes", "10001", "--quad-nodes", "201", "--grid-n", "101",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("fig3_summary.json", "fig3_curves.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_fig2_repeated_size_keeps_both_columns(tmp_path):

@@ -2,6 +2,7 @@
 import contextlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,6 +588,23 @@ def test_f_evals_counts_every_objective_evaluation():
     assert res.f_evals == len(calls) > res.iterations + 1
     assert _projected_newton(counted, lambda x: np.eye(2), np.zeros(2),
                              -np.inf).f_evals is None
+
+
+def test_a_non_finite_update_is_skipped():
+    # lr at alpha 0 on separable points drives s'y down to about 1e-155,
+    # where rho^2 overflows: that update is skipped like one that fails
+    # the curvature test, so no NaN reaches the search direction and
+    # the run goes on to max_iter rather than failing its search
+    rng = Rng(7354)
+    samples = SampleSet(xs_p=sample_piecewise(default_pair(), "p", 5, rng),
+                        xs_q=sample_piecewise(default_pair(), "q", 5, rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(samples, family_loss("lr"),
+                    KernelSpec(kind="gaussian", sigma="median"), alpha=0.0,
+                    max_iter=3000, grad_tol=0.0, clamp_budget=None)
+    assert (model.status, model.iterations) == ("max_iter", 3000)
+    assert np.all(np.isfinite(model.coeffs))
 
 
 @pytest.mark.parametrize("max_iter,grad_tol", [(-1, 1e-8), (10, -1e-8),
